@@ -101,7 +101,11 @@ func TestSigtermDrainsAndExits0(t *testing.T) {
 	if addr == "" {
 		t.Fatal("daemon never announced its listen address")
 	}
+	// The narrative is read to EOF before Wait: Wait closes the pipe, and a
+	// read still in flight would lose the last lines.
+	tailDone := make(chan struct{})
 	go func() {
+		defer close(tailDone)
 		for sc.Scan() {
 			tail.WriteString(sc.Text() + "\n")
 		}
@@ -152,7 +156,10 @@ func TestSigtermDrainsAndExits0(t *testing.T) {
 		t.Fatal(err)
 	}
 	done := make(chan error, 1)
-	go func() { done <- cmd.Wait() }()
+	go func() {
+		<-tailDone
+		done <- cmd.Wait()
+	}()
 	select {
 	case err := <-done:
 		if err != nil {

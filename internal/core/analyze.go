@@ -132,6 +132,9 @@ type Result struct {
 	FilteredReports int // accepting states whose Trojan query was unsat/unknown
 	BulkDrops       int // client paths dropped via differentFrom (no solver call)
 	BindKeyHits     int // triggerability verdicts shared via canonical bind keys
+	VerifyFolded    int // §4 guard: bindKey groups refuted by constant folding
+	VerifyQueries   int // §4 guard: residual solver queries
+	VerifyUnknowns  int // §4 guard: residual queries answered Unknown (counted as refuted)
 	Duration        time.Duration
 	EngineStats     symexec.Stats
 	SolverStats     solver.Stats
@@ -196,6 +199,10 @@ type analysis struct {
 	maxDepth atomic.Int64 // deepest branch decision seen
 	found    atomic.Int64 // Trojan reports confirmed
 
+	// bindReps holds the first client path of every distinct bindKey, in
+	// path order: verifyNotClient decides one path per group.
+	bindReps []int
+
 	mu      sync.Mutex
 	pending []pendingReport
 }
@@ -233,6 +240,7 @@ func AnalyzeServerCtx(ctx context.Context, server *lang.Unit, pc *ClientPredicat
 		stop:      stop,
 		observing: opts.Observer.OnProgress != nil || opts.Observer.OnTrojan != nil,
 	}
+	a.bindReps = bindReps(pc)
 	if opts.Observer.OnProgress != nil {
 		progDone := make(chan struct{})
 		progExited := make(chan struct{})
@@ -693,25 +701,130 @@ func (a *analysis) stateWorld(model expr.Env) expr.Env {
 	return env
 }
 
-// verifyNotClient checks that no client path predicate admits the concrete
-// message within the concrete state world.
+// verifyNotClient is the §4 soundness guard: it checks that no client path
+// predicate admits the concrete message within the concrete state world.
+// Both are concrete, so every bind is substituted and constant-folded first
+// (foldBind): a conjunct that folds to false refutes the path without a
+// solver call, and only a bind that neither refutes nor generates the
+// message sends its residual conjuncts to the solver. Paths that share a
+// bindKey admit the same messages in any pinned world, so one verdict per
+// key serves the whole group.
 func (a *analysis) verifyNotClient(msg []int64, stateEnv expr.Env) bool {
-	var eqs []*expr.Expr
-	for f := range msg {
-		eqs = append(eqs, expr.Eq(a.pc.msgVar(f), expr.Const(msg[f])))
+	sub := make(map[string]*expr.Expr, len(msg)+len(stateEnv))
+	for f, v := range msg {
+		sub[a.pc.MsgVarName(f)] = expr.Const(v)
 	}
 	for name, v := range stateEnv {
-		eqs = append(eqs, expr.Eq(expr.Var(name), expr.Const(v)))
+		sub[name] = expr.Const(v)
 	}
-	for _, cp := range a.pc.Paths {
-		q := make([]*expr.Expr, 0, len(cp.bind)+len(eqs))
-		q = append(q, cp.bind...)
-		q = append(q, eqs...)
-		if res, _ := a.sol.CheckCtx(a.runCtx, q); res == solver.Sat {
+	var folded, queries, unknowns int
+	defer func() {
+		a.mu.Lock()
+		a.res.VerifyFolded += folded
+		a.res.VerifyQueries += queries
+		a.res.VerifyUnknowns += unknowns
+		a.mu.Unlock()
+	}()
+	for _, i := range a.bindReps {
+		outcome, residual := foldBind(a.pc.Paths[i].bind, sub)
+		switch outcome {
+		case foldRefuted:
+			folded++
+			continue
+		case foldGenerates:
 			return false
+		}
+		queries++
+		switch res, _ := a.sol.CheckCtx(a.runCtx, residual); res {
+		case solver.Sat:
+			return false
+		case solver.Unknown:
+			unknowns++
 		}
 	}
 	return true
+}
+
+// bindReps returns the first client path of every distinct bindKey, in path
+// order.
+func bindReps(pc *ClientPredicate) []int {
+	var reps []int
+	seen := map[string]bool{}
+	for i, cp := range pc.Paths {
+		if !seen[cp.bindKey] {
+			seen[cp.bindKey] = true
+			reps = append(reps, i)
+		}
+	}
+	return reps
+}
+
+// foldOutcome classifies a client path's bind once the concrete message and
+// state world are substituted into it.
+type foldOutcome uint8
+
+const (
+	foldResidual  foldOutcome = iota // the solver decides the residual conjuncts
+	foldRefuted                      // some conjunct folds to false
+	foldGenerates                    // every conjunct folds to true
+)
+
+// foldBind substitutes sub into every bind conjunct; expr.Substitute rebuilds
+// through the simplifying constructors, so the conjunct constant-folds. Any
+// false conjunct refutes the path and all-true ones mean the path generates
+// the message; otherwise the non-true conjuncts are returned as the residual
+// query. A bind with a division or remainder that can divide by zero is not
+// folded: the constructors may drop such an operand (0 * (x / y) is 0) where
+// the solver's model check fails on it, so that bind goes to the solver
+// whole, with the substituted values pinned by equalities.
+func foldBind(bind []*expr.Expr, sub map[string]*expr.Expr) (foldOutcome, []*expr.Expr) {
+	for _, c := range bind {
+		if mayDivideByZero(c) {
+			return foldResidual, pinned(bind, sub)
+		}
+	}
+	var residual []*expr.Expr
+	for _, c := range bind {
+		switch f := expr.Substitute(c, sub); {
+		case f.IsFalse():
+			return foldRefuted, nil
+		case !f.IsTrue():
+			residual = append(residual, f)
+		}
+	}
+	if len(residual) == 0 {
+		return foldGenerates, nil
+	}
+	return foldResidual, residual
+}
+
+// mayDivideByZero reports whether e divides or takes a remainder by anything
+// other than a nonzero constant.
+func mayDivideByZero(e *expr.Expr) bool {
+	if (e.Kind == expr.KDiv || e.Kind == expr.KMod) && !(e.Args[1].IsConst() && e.Args[1].Val != 0) {
+		return true
+	}
+	for _, arg := range e.Args {
+		if mayDivideByZero(arg) {
+			return true
+		}
+	}
+	return false
+}
+
+// pinned returns bind followed by var == value for every substitution, in
+// name order.
+func pinned(bind []*expr.Expr, sub map[string]*expr.Expr) []*expr.Expr {
+	names := make([]string, 0, len(sub))
+	for name := range sub {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	q := append(make([]*expr.Expr, 0, len(bind)+len(names)), bind...)
+	for _, name := range names {
+		q = append(q, expr.Eq(expr.Var(name), sub[name]))
+	}
+	return q
 }
 
 // verifyAccept replays the concrete message against the server model, with

@@ -398,9 +398,12 @@ func (pc *ClientPredicate) PreprocessParallelCtx(ctx context.Context, s *solver.
 
 // buildBindKey computes the canonical message-relevant signature. The
 // relevant constraint set is the transitive closure of the constraints
-// sharing variables with the field expressions; constraints on local-only
-// inputs (flags, normalisation choices) are excluded, because they are
-// independently satisfiable and cannot affect sat(pathS ∧ bind).
+// sharing variables with the field expressions or with shared world state;
+// constraints on local-only inputs (flags, normalisation choices) are
+// excluded, because they are independently satisfiable and cannot affect
+// sat(pathS ∧ bind). A constraint over a shared "state_*" variable is not
+// local-only: the server path constrains that variable, and the §4 guard
+// pins it to a concrete world, so it can decide the verdict by itself.
 func (pc *ClientPredicate) buildBindKey(cp *ClientPath) {
 	relevant := map[string]bool{}
 	for _, e := range cp.Fields {
@@ -414,7 +417,7 @@ func (pc *ClientPredicate) buildBindKey(cp *ClientPath) {
 			expr.CollectVars(k, vs)
 			touches := false
 			for v := range vs {
-				if relevant[v] {
+				if relevant[v] || pc.isShared(v) {
 					touches = true
 					break
 				}

@@ -85,6 +85,9 @@ func (r *Result) Counters() Counters {
 		"filtered_reports":    int64(r.FilteredReports),
 		"bulk_drops":          int64(r.BulkDrops),
 		"bindkey_hits":        int64(r.BindKeyHits),
+		"verify_folded":       int64(r.VerifyFolded),
+		"verify_queries":      int64(r.VerifyQueries),
+		"verify_unknowns":     int64(r.VerifyUnknowns),
 		"trojan_classes":      int64(len(r.Trojans)),
 		"engine_states":       int64(r.EngineStats.States),
 		"engine_forks":        int64(r.EngineStats.Forks),
