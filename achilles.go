@@ -43,9 +43,9 @@
 // workers; the reported Trojan class set is identical for every value (see
 // DESIGN.md, "Where the parallelism sits").
 //
-// The v1 entry points (Run, AnalyzeServer with AnalysisOptions) still work
-// and now delegate to the same context-aware pipeline with a background
-// context; new code should use Start.
+// Start is the one analysis entry point: a blocking run is Start followed
+// by Wait, and a caller holding an AnalysisOptions struct passes it through
+// WithAnalysisOptions.
 //
 // See examples/ for complete programs, LANGUAGE.md for the NL modelling-
 // language reference (README.md carries the cheat sheet), DESIGN.md for the
@@ -68,11 +68,8 @@ type (
 	// ClientProgram names one compiled client model.
 	ClientProgram = core.ClientProgram
 	// AnalysisOptions configure the server phase (mode, budgets, solver).
-	//
-	// Deprecated: new code should configure a Session through Start's
-	// functional options (WithMode, WithParallelism, ...). The struct
-	// remains the bridge type — WithAnalysisOptions(opts) seeds a session
-	// from it — and keeps the v1 Run/AnalyzeServer entry points compiling.
+	// WithAnalysisOptions seeds a Session from it; the functional options
+	// (WithMode, WithParallelism, ...) set single fields.
 	AnalysisOptions = core.AnalysisOptions
 	// RunResult carries the client predicate, the analysis result and the
 	// per-phase timing split.
@@ -85,11 +82,8 @@ type (
 	// a-posteriori).
 	Mode = core.Mode
 	// ExecOptions configure a symbolic or concrete engine run (local-state
-	// modes, budgets).
-	//
-	// Deprecated: sessions override engine budgets through options such as
-	// WithMaxStates; ExecOptions remains for Target.ServerExec/ClientExec
-	// and the v1 entry points.
+	// modes, budgets) — the type of Target.ServerExec and ClientExec.
+	// WithMaxStates overrides the budgets of both for one Session.
 	ExecOptions = symexec.Options
 	// Unit is a compiled NL node program.
 	Unit = lang.Unit
@@ -108,26 +102,7 @@ func Compile(src string) (*Unit, error) { return lang.Compile(src) }
 // MustCompile is Compile for known-good sources; it panics on error.
 func MustCompile(src string) *Unit { return lang.MustCompile(src) }
 
-// Run executes both Achilles phases on a target: client predicate
-// extraction (with preprocessing) followed by the server-side Trojan
-// search. It blocks until the analysis completes.
-//
-// Deprecated: use Start, which adds cancellation, deadlines, streamed
-// results and progress. Run is Start + Wait under a background context.
-func Run(t Target, opts AnalysisOptions) (*RunResult, error) {
-	return core.Run(t, opts)
-}
-
 // ExtractClientPredicate runs only phase 1.
 func ExtractClientPredicate(clients []ClientProgram, opts core.ExtractOptions) (*ClientPredicate, error) {
 	return core.ExtractClientPredicate(clients, opts)
-}
-
-// AnalyzeServer runs only phase 2 against a preprocessed client predicate.
-//
-// Deprecated: use Start for full runs; direct phase-2 callers should move
-// to core-style usage via AnalysisOptions until a session-level split-phase
-// API exists.
-func AnalyzeServer(server *Unit, pc *ClientPredicate, opts AnalysisOptions) (*core.Result, error) {
-	return core.AnalyzeServer(server, pc, opts)
 }

@@ -1,6 +1,7 @@
 package achilles_test
 
 import (
+	"context"
 	"testing"
 
 	"achilles"
@@ -29,11 +30,15 @@ func main() {
 	m[1] = x;
 	send(m);
 }`)
-	run, err := achilles.Run(achilles.Target{
+	sess, err := achilles.Start(context.Background(), achilles.Target{
 		Name:    "facade",
 		Server:  server,
 		Clients: []achilles.ClientProgram{{Name: "c", Unit: client}},
-	}, achilles.AnalysisOptions{Mode: achilles.ModeOptimized})
+	}, achilles.WithMode(achilles.ModeOptimized))
+	if err != nil {
+		t.Fatal(err)
+	}
+	run, err := sess.Wait()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,6 @@
 //
 //	achilles-audit run  [-out DIR] [-force] [-targets a,b|all] [-modes m1,m2|all] [-j N]
 //	                    [-baseline DIR] [-cache FILE] [-golden DIR] [-timeout DURATION]
-//	                    [-workers N] [-worker-bin PATH]
 //	achilles-audit diff OLD_BUNDLE NEW_BUNDLE
 //	achilles-audit ls   [ROOT]
 //	achilles-audit hash BUNDLE
@@ -45,14 +44,6 @@
 // atomically (temp file + rename) and last, so a bundle killed mid-write is
 // unreadable rather than silently partial.
 //
-// With -workers N (N >= 1) the campaign runs distributed: N achilles-worker
-// subprocesses are spawned (-worker-bin overrides the binary, which is
-// otherwise looked up next to this executable and then on PATH) and jobs are
-// sharded across them by input fingerprint, with work stealing, crash
-// requeue and solver-cache delta exchange (internal/dispatch). Because job
-// results are deterministic, the bundle is ContentHash-identical to an
-// in-process run at every worker count. The default (0) runs in-process.
-//
 // "diff" compares two bundles class-by-class and exits 0 when identical,
 // 1 when Trojan classes appeared, disappeared or changed, 2 on usage or
 // I/O errors.
@@ -63,7 +54,7 @@
 //
 // "hash" prints one bundle's full content hash — the digest of its stable
 // content (job outcomes and report streams, not timings or timestamps) that
-// CI uses to assert distributed and single-process runs agree.
+// CI uses to assert runs at different -j budgets agree.
 package main
 
 import (
@@ -72,7 +63,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"os/exec"
 	"os/signal"
 	"path/filepath"
 	"runtime"
@@ -81,7 +71,6 @@ import (
 
 	"achilles/internal/campaign"
 	"achilles/internal/core"
-	"achilles/internal/dispatch"
 	_ "achilles/internal/protocols"
 	"achilles/internal/protocols/registry"
 	"achilles/internal/solver"
@@ -93,7 +82,6 @@ func usage(w *os.File) {
 	fmt.Fprintln(w, "usage:")
 	fmt.Fprintln(w, "  achilles-audit run  [-out DIR] [-force] [-targets a,b|all] [-modes m1,m2|all] [-j N]")
 	fmt.Fprintln(w, "                      [-baseline DIR] [-cache FILE] [-golden DIR] [-timeout DURATION]")
-	fmt.Fprintln(w, "                      [-workers N] [-worker-bin PATH]")
 	fmt.Fprintln(w, "  achilles-audit diff OLD_BUNDLE NEW_BUNDLE")
 	fmt.Fprintln(w, "  achilles-audit ls   [ROOT]")
 	fmt.Fprintln(w, "  achilles-audit hash BUNDLE")
@@ -183,17 +171,10 @@ func cmdRun(args []string) {
 	cacheFile := fs.String("cache", "", "persistent solver cache file, loaded before and saved after the run")
 	golden := fs.String("golden", "", "golden corpus dir to cross-check optimized-mode class sets against")
 	timeout := fs.Duration("timeout", 0, "abort the campaign after this long (0 = no deadline); the partial bundle exits 3")
-	workers := fs.Int("workers", 0, "run the campaign on N achilles-worker subprocesses (0 = in-process)")
-	workerBin := fs.String("worker-bin", "", "worker binary for -workers (default: achilles-worker next to this executable, then PATH)")
 	fs.Parse(args)
 
 	if *jobs < 1 {
 		fmt.Fprintf(os.Stderr, "achilles-audit: invalid -j %d (must be >= 1)\n", *jobs)
-		fs.Usage()
-		os.Exit(2)
-	}
-	if *workers < 0 {
-		fmt.Fprintf(os.Stderr, "achilles-audit: invalid -workers %d (must be >= 0)\n", *workers)
 		fs.Usage()
 		os.Exit(2)
 	}
@@ -248,29 +229,6 @@ func cmdRun(args []string) {
 			fmt.Fprintf(os.Stderr, "achilles-audit: ignoring solver cache: %v\n", err)
 		}
 	}
-	var coord *dispatch.Coordinator
-	if *workers > 0 {
-		// The fleet spawns after the cache load so the coordinator seeds every
-		// worker with the warmed verdict cache; it is torn down right after
-		// the campaign, before the save, so fleet-learned deltas persist.
-		bin, err := findWorkerBin(*workerBin)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "achilles-audit:", err)
-			os.Exit(2)
-		}
-		coord, err = dispatch.Start(dispatch.Config{
-			Workers: *workers,
-			Command: []string{bin},
-			Solver:  sol,
-			Stderr:  os.Stderr,
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "achilles-audit:", err)
-			os.Exit(1)
-		}
-		opts.Executor = coord
-		fmt.Printf("distributed: %d worker(s) running %s\n", *workers, bin)
-	}
 	dir := *out
 	if dir == "" {
 		dir, err = claimRunDir(defaultRoot)
@@ -300,12 +258,6 @@ func cmdRun(args []string) {
 	// second Ctrl-C must be able to kill the process during the cache save
 	// and bundle flush below (the atomic manifest write makes that safe).
 	stopSignals()
-	if coord != nil {
-		// Tear the fleet down before anything else — a cancelled campaign
-		// must not leave worker processes running, and the cache save below
-		// wants the final delta state.
-		coord.Close()
-	}
 	interrupted := errors.Is(runErr, context.Canceled) || errors.Is(runErr, context.DeadlineExceeded)
 	if runErr != nil && !interrupted {
 		fmt.Fprintln(os.Stderr, "achilles-audit:", runErr)
@@ -385,28 +337,6 @@ func cmdRun(args []string) {
 		os.Exit(3)
 	}
 	os.Exit(exit)
-}
-
-// findWorkerBin resolves the achilles-worker binary for -workers: an
-// explicit -worker-bin wins, then a sibling of this executable (the layout
-// `go build -o bin/ ./...` and the CI artifacts produce), then PATH.
-func findWorkerBin(explicit string) (string, error) {
-	if explicit != "" {
-		if _, err := os.Stat(explicit); err != nil {
-			return "", fmt.Errorf("-worker-bin: %w", err)
-		}
-		return explicit, nil
-	}
-	if self, err := os.Executable(); err == nil {
-		sibling := filepath.Join(filepath.Dir(self), "achilles-worker")
-		if _, err := os.Stat(sibling); err == nil {
-			return sibling, nil
-		}
-	}
-	if bin, err := exec.LookPath("achilles-worker"); err == nil {
-		return bin, nil
-	}
-	return "", errors.New("achilles-worker binary not found next to this executable or on PATH; build it (go build ./cmd/achilles-worker) or pass -worker-bin")
 }
 
 // claimRunDir creates a fresh default bundle directory under root. The name

@@ -2,7 +2,6 @@ package main
 
 import (
 	"context"
-	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -13,30 +12,14 @@ import (
 
 	"achilles/internal/campaign"
 	"achilles/internal/core"
-	"achilles/internal/dispatch"
 )
 
-// TestMain lets the test binary stand in for two executables: achilles-audit
-// itself (ACHILLES_AUDIT_CLI holds the full argv, subcommand included) and
-// achilles-worker (ACHILLES_WORKER_REEXEC=1, set by the shell shim handed to
-// -worker-bin) — so the distributed tests below drive real coordinator →
-// subprocess traffic without a separate build step. The older
-// ACHILLES_AUDIT_ARGS hook (cmdRun flags only, dispatched inside
-// TestUsageErrorsExit2) is untouched.
+// TestMain lets the test binary stand in for achilles-audit itself
+// (ACHILLES_AUDIT_CLI holds the full argv, subcommand included).
+// TestUsageErrorsExit2 has its own ACHILLES_AUDIT_ARGS hook for cmdRun flags
+// only.
 func TestMain(m *testing.M) {
-	switch {
-	case os.Getenv("ACHILLES_WORKER_REEXEC") == "1":
-		// Checked first: workers spawned by a re-exec'd audit run inherit
-		// the parent's ACHILLES_AUDIT_CLI too.
-		if err := dispatch.Serve(os.Stdin, os.Stdout, dispatch.WorkerConfig{
-			CrashJob:  os.Getenv("ACHILLES_WORKER_CRASH_JOB"),
-			CrashOnce: os.Getenv("ACHILLES_WORKER_CRASH_ONCE"),
-		}); err != nil {
-			fmt.Fprintln(os.Stderr, "achilles-worker:", err)
-			os.Exit(1)
-		}
-		os.Exit(0)
-	case os.Getenv("ACHILLES_AUDIT_CLI") != "":
+	if os.Getenv("ACHILLES_AUDIT_CLI") != "" {
 		os.Args = append([]string{"achilles-audit"}, strings.Split(os.Getenv("ACHILLES_AUDIT_CLI"), " ")...)
 		main()
 		os.Exit(0)
@@ -45,25 +28,11 @@ func TestMain(m *testing.M) {
 }
 
 // reexecAudit re-runs the test binary as the full achilles-audit CLI.
-func reexecAudit(t *testing.T, args string, extraEnv ...string) *exec.Cmd {
+func reexecAudit(t *testing.T, args string) *exec.Cmd {
 	t.Helper()
 	cmd := exec.Command(os.Args[0])
 	cmd.Env = append(os.Environ(), "ACHILLES_AUDIT_CLI="+args)
-	cmd.Env = append(cmd.Env, extraEnv...)
 	return cmd
-}
-
-// workerShim writes an executable that re-enters this test binary in worker
-// mode — what -worker-bin gets instead of a separately built
-// cmd/achilles-worker.
-func workerShim(t *testing.T) string {
-	t.Helper()
-	path := filepath.Join(t.TempDir(), "achilles-worker")
-	script := "#!/bin/sh\nexport ACHILLES_WORKER_REEXEC=1\nexec " + os.Args[0] + "\n"
-	if err := os.WriteFile(path, []byte(script), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	return path
 }
 
 // bundleHash runs `achilles-audit hash DIR` and returns the printed digest.
@@ -74,61 +43,6 @@ func bundleHash(t *testing.T, dir string) string {
 		t.Fatalf("hash %s: %v", dir, err)
 	}
 	return strings.TrimSpace(string(out))
-}
-
-// TestDistributedRunMatchesSingleProcess: `run -workers 2` over real worker
-// subprocesses produces a bundle whose content hash equals the in-process
-// run's — the CLI-level form of the distributed determinism invariant.
-func TestDistributedRunMatchesSingleProcess(t *testing.T) {
-	if testing.Short() {
-		t.Skip("spawns real audit subprocesses")
-	}
-	root := t.TempDir()
-	single, distributed := filepath.Join(root, "single"), filepath.Join(root, "fleet")
-
-	if out, err := reexecAudit(t, "run -targets kv,kv-fixed -j 2 -out "+single).CombinedOutput(); err != nil {
-		t.Fatalf("single-process run: %v\n%s", err, out)
-	}
-	out, err := reexecAudit(t, "run -targets kv,kv-fixed -j 2 -workers 2 -worker-bin "+workerShim(t)+" -out "+distributed).CombinedOutput()
-	if err != nil {
-		t.Fatalf("distributed run: %v\n%s", err, out)
-	}
-	if !strings.Contains(string(out), "distributed: 2 worker(s)") {
-		t.Fatalf("run never announced its fleet:\n%s", out)
-	}
-	if h1, h2 := bundleHash(t, single), bundleHash(t, distributed); h1 != h2 {
-		t.Fatalf("distributed bundle drifted: %s != %s", h2, h1)
-	}
-}
-
-// TestDistributedRunSurvivesWorkerKill: with the crash hook killing one
-// worker mid-job, the run still exits 0 and converges to the single-process
-// content hash — the requeue path over real processes.
-func TestDistributedRunSurvivesWorkerKill(t *testing.T) {
-	if testing.Short() {
-		t.Skip("spawns real audit subprocesses")
-	}
-	root := t.TempDir()
-	single, distributed := filepath.Join(root, "single"), filepath.Join(root, "fleet")
-	sentinel := filepath.Join(root, "crash-once")
-
-	if out, err := reexecAudit(t, "run -targets kv,kv-fixed,paxos -j 2 -out "+single).CombinedOutput(); err != nil {
-		t.Fatalf("single-process run: %v\n%s", err, out)
-	}
-	out, err := reexecAudit(t,
-		"run -targets kv,kv-fixed,paxos -j 2 -workers 2 -worker-bin "+workerShim(t)+" -out "+distributed,
-		"ACHILLES_WORKER_CRASH_JOB=kv/optimized",
-		"ACHILLES_WORKER_CRASH_ONCE="+sentinel,
-	).CombinedOutput()
-	if err != nil {
-		t.Fatalf("distributed run with worker kill: %v\n%s", err, out)
-	}
-	if _, err := os.Stat(sentinel); err != nil {
-		t.Fatalf("crash sentinel missing — no worker was actually killed: %v", err)
-	}
-	if h1, h2 := bundleHash(t, single), bundleHash(t, distributed); h1 != h2 {
-		t.Fatalf("post-kill bundle drifted: %s != %s", h2, h1)
-	}
 }
 
 // TestLsShowsContentHashAndInterrupted: the listing carries each bundle's
@@ -181,25 +95,6 @@ func TestLsShowsContentHashAndInterrupted(t *testing.T) {
 	}
 	if !strings.Contains(cutLine, "interrupted") {
 		t.Fatalf("interrupted bundle not flagged:\n%s", cutLine)
-	}
-}
-
-// TestWorkersFlagValidation: -workers rejects negatives with the usage exit
-// code, and a missing worker binary is a clean error, not a hung fleet.
-func TestWorkersFlagValidation(t *testing.T) {
-	if testing.Short() {
-		t.Skip("spawns real audit subprocesses")
-	}
-	out, err := reexecAudit(t, "run -workers -1").CombinedOutput()
-	if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 2 {
-		t.Fatalf("-workers -1: want exit 2, got %v\n%s", err, out)
-	}
-	out, err = reexecAudit(t, "run -targets kv -workers 1 -worker-bin /no/such/binary -out "+filepath.Join(t.TempDir(), "x")).CombinedOutput()
-	if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 2 {
-		t.Fatalf("bad -worker-bin: want exit 2, got %v\n%s", err, out)
-	}
-	if !strings.Contains(string(out), "-worker-bin") {
-		t.Fatalf("error does not mention -worker-bin:\n%s", out)
 	}
 }
 
@@ -259,6 +154,9 @@ func TestUsageErrorsExit2(t *testing.T) {
 		"unknown-target": "-targets no-such-proto",
 		"bad-j":          "-j 0",
 		"bad-baseline":   "-baseline /no/such/bundle",
+		// -workers is not a flag: a script that still passes it must fail
+		// loudly rather than silently run in-process.
+		"stale-workers": "-workers 2",
 	}
 	for name, args := range cases {
 		name, args := name, args

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -17,10 +18,7 @@ import (
 func main() {
 	// Accuracy experiment: clients without glob handling (the paper's
 	// annotated setup) — exactly the 80 mismatched-length classes exist.
-	run, err := achilles.Run(fsp.NewTarget(false), achilles.AnalysisOptions{})
-	if err != nil {
-		log.Fatal(err)
-	}
+	run := analyse(fsp.NewTarget(false))
 	fmt.Printf("accuracy experiment: %d client paths, %d/%d known Trojan classes, 0 false positives, %v\n",
 		len(run.Clients.Paths), len(run.Analysis.Trojans), fsp.KnownTrojanClasses(),
 		run.Total().Round(time.Millisecond))
@@ -32,10 +30,7 @@ func main() {
 	// Wildcard experiment: glob-aware clients never send a literal '*';
 	// the server accepts it — extra Trojan classes appear on the
 	// valid-length paths.
-	wrun, err := achilles.Run(fsp.NewTarget(true), achilles.AnalysisOptions{})
-	if err != nil {
-		log.Fatal(err)
-	}
+	wrun := analyse(fsp.NewTarget(true))
 	wildcards := 0
 	for _, tr := range wrun.Analysis.Trojans {
 		if _, rep, act, _ := fsp.ClassOf(tr.Concrete); act == rep {
@@ -61,4 +56,17 @@ func pathOf(msg []int64) string {
 		b = append(b, byte(msg[fsp.FieldBuf+i]))
 	}
 	return string(b)
+}
+
+// analyse runs both Achilles phases on t and blocks until they finish.
+func analyse(t achilles.Target) *achilles.RunResult {
+	sess, err := achilles.Start(context.Background(), t)
+	if err != nil {
+		log.Fatal(err)
+	}
+	run, err := sess.Wait()
+	if err != nil {
+		log.Fatal(err)
+	}
+	return run
 }

@@ -96,15 +96,10 @@ type Options struct {
 	// generated mutant targets here without registering them globally.
 	// Extras shadow registry entries of the same name and are appended to
 	// the default plan when Targets is empty. Aliases are ignored.
-	//
-	// Extra descriptors carry function values and therefore only execute on
-	// the in-process backend; a distributed Executor fails such jobs with a
-	// "disappeared from the registry" manifest error.
 	Extra []registry.Descriptor
-	// Executor selects the execution backend for jobs that actually run.
-	// Nil means the in-process LocalExecutor (the historical engine); a
-	// dispatch.Coordinator runs jobs on worker subprocesses instead. The
-	// campaign never closes the executor — its creator owns its lifetime.
+	// Executor runs the jobs that are not reused from the baseline. Nil
+	// means NewLocalExecutor(opts, Solver); set it to wrap that backend,
+	// e.g. to observe each job as it returns.
 	Executor Executor
 	// ShuffleSeed is a scheduling-jitter test hook: when nonzero, the order
 	// jobs are fed to the executor lanes is shuffled deterministically from
@@ -230,8 +225,7 @@ func RunCtx(ctx context.Context, opts Options) (*Bundle, error) {
 	// Fingerprint every job up front (campaign-local extras resolve first):
 	// fingerprints decide baseline reuse here and are recorded in the
 	// manifest either way, so THIS bundle can serve as the next run's
-	// baseline — and they are the shard key a distributed executor
-	// partitions the job graph by.
+	// baseline.
 	fps := make([]string, len(jobs))
 	for i, j := range jobs {
 		if d, ok := opts.lookupTarget(j.Target); ok {
@@ -253,23 +247,13 @@ func RunCtx(ctx context.Context, opts Options) (*Bundle, error) {
 	if exec == nil {
 		exec = NewLocalExecutor(opts, sol)
 	}
-	pending := make([]PlannedJob, len(toRun))
-	for k, i := range toRun {
-		pending[k] = PlannedJob{Job: jobs[i], Fingerprint: fps[i]}
-	}
 	if opts.ShuffleSeed != 0 {
 		rng := rand.New(rand.NewSource(opts.ShuffleSeed))
 		rng.Shuffle(len(toRun), func(a, b int) { toRun[a], toRun[b] = toRun[b], toRun[a] })
 	}
-	grants := exec.Negotiate(budget, pending)
-	if len(grants) == 0 && len(toRun) > 0 {
-		// Defensive: a backend must never negotiate the fleet to a halt with
-		// jobs still pending. Fall back to one full-budget lane.
-		grants = []int{budget}
-	}
 	var wg sync.WaitGroup
 	next := make(chan int)
-	for _, grant := range grants {
+	for _, grant := range splitBudget(budget, min(budget, len(toRun))) {
 		grant := grant
 		wg.Add(1)
 		go func() {
@@ -278,7 +262,7 @@ func RunCtx(ctx context.Context, opts Options) (*Bundle, error) {
 				if ctx.Err() != nil {
 					// Unstarted job after the cancel: record it as
 					// interrupted instead of silently dropping the entry.
-					runs[i] = InterruptedManifest(jobs[i], ctx.Err())
+					runs[i] = interruptedManifest(jobs[i], ctx.Err())
 					continue
 				}
 				runs[i], reports[i] = exec.Run(ctx, jobs[i], grant)
@@ -321,23 +305,15 @@ func RunCtx(ctx context.Context, opts Options) (*Bundle, error) {
 	return b, ctx.Err()
 }
 
-// InterruptedManifest records a job that cancellation prevented from running
-// (or finishing). The Error marking matters beyond display: errored entries
-// carry no report stream and are never reused as a baseline. Execution
-// backends use it so an interrupted job looks the same whichever backend ran
-// the campaign.
-func InterruptedManifest(j Job, cause error) RunManifest {
-	return ErrorManifest(j, "interrupted: "+cause.Error())
-}
-
-// ErrorManifest records a job that could not run, with the backend's reason —
-// e.g. a distributed backend whose entire worker pool died.
-func ErrorManifest(j Job, msg string) RunManifest {
+// interruptedManifest records a job that cancellation prevented from
+// starting. The Error marking matters beyond display: errored entries carry
+// no report stream and are never reused as a baseline.
+func interruptedManifest(j Job, cause error) RunManifest {
 	return RunManifest{
 		Target:     j.Target,
 		Mode:       j.Mode.String(),
 		ReportFile: reportFileName(j),
-		Error:      msg,
+		Error:      "interrupted: " + cause.Error(),
 	}
 }
 
@@ -394,45 +370,6 @@ func splitBudget(budget, workers int) []int {
 		}
 	}
 	return out
-}
-
-// runJob executes one target×mode analysis with the shared solver and the
-// given intra-job parallelism, and converts the outcome into its manifest
-// entry and report stream. A job cancelled mid-exploration is recorded as
-// interrupted: its partial class set is discarded — a bundle must never
-// present a cut-short job as that target's result.
-func runJob(ctx context.Context, j Job, d registry.Descriptor, ok bool, parallelism int, sol *solver.Solver, obs core.Observer) (RunManifest, []Report) {
-	rm := RunManifest{
-		Target:     j.Target,
-		Mode:       j.Mode.String(),
-		ReportFile: reportFileName(j),
-	}
-	if !ok {
-		rm.Error = fmt.Sprintf("target %q disappeared from the registry", j.Target)
-		return rm, nil
-	}
-	t0 := time.Now()
-	tgt := d.Target()
-	aopts := d.Analysis
-	aopts.Mode = j.Mode
-	aopts.Parallelism = parallelism
-	aopts.Solver = sol
-	aopts.Observer = obs
-	run, err := core.RunCtx(ctx, tgt, aopts)
-	rm.WallMS = time.Since(t0).Milliseconds()
-	if ctxErr := ctx.Err(); ctxErr != nil {
-		rm.Error = "interrupted: " + ctxErr.Error()
-		return rm, nil
-	}
-	if err != nil {
-		rm.Error = err.Error()
-		return rm, nil
-	}
-	rm.Classes = len(run.Analysis.Trojans)
-	rm.ClientPaths = len(run.Clients.Paths)
-	rm.Truncated = run.Truncated()
-	rm.Counters = Counters(run.Counters())
-	return rm, ReportsFromRun(tgt.FieldNames, run.Analysis.Trojans)
 }
 
 // ReportsFromRun converts a completed analysis' Trojan classes into the

@@ -1,71 +1,34 @@
 package campaign
 
-// The execution-backend seam. Until the distributed refactor, RunCtx inlined
-// its worker pool: plan the job graph, split the -j budget, run every job in
-// this process. Executor extracts exactly that contract so the same campaign
-// loop — baseline reuse, manifest assembly, interrupt bookkeeping — can feed
-// jobs to different backends:
-//
-//   - LocalExecutor re-homes the historical in-process pool. It is the
-//     default (Options.Executor == nil) and produces byte-identical bundles
-//     to the pre-seam engine;
-//   - internal/dispatch.Coordinator runs jobs on worker subprocesses over a
-//     versioned JSONL stdio protocol — the distributed backend behind
-//     `achilles-audit run -workers N`.
-//
-// The seam is deliberately job-granular: Run takes one job and returns its
-// manifest entry plus report stream, so scheduling (lane count, budget
-// split, work stealing, crash requeue) stays a backend concern while result
-// semantics — what a finished, failed, truncated or interrupted job looks
-// like — stay defined in one place, here. Whatever the backend, the per-job
-// class set is a deterministic function of the job's inputs (the core
-// contract pinned since PR 1), which is what keeps bundles ContentHash-equal
-// across backends and worker counts.
+// The execution seam. RunCtx plans the job graph, applies baseline reuse,
+// sizes its lanes from the -j budget and assembles the manifest; each job
+// that actually runs goes through one Executor.Run call. LocalExecutor is
+// the only backend and the default (Options.Executor == nil). The seam
+// stays so a caller can wrap the backend — to time jobs, say — without
+// touching the campaign loop.
 
 import (
 	"context"
+	"fmt"
+	"time"
 
 	"achilles/internal/core"
-	"achilles/internal/protocols/registry"
 	"achilles/internal/solver"
 )
 
-// PlannedJob pairs a job with its input fingerprint — the stable shard key
-// distributed backends partition the job graph by (the same fingerprint
-// that drives incremental baseline reuse).
-type PlannedJob struct {
-	Job         Job
-	Fingerprint string
-}
-
-// Executor is a campaign execution backend.
-//
-// The campaign engine calls Negotiate once per run with the global -j budget
-// and the fingerprinted jobs that actually need to execute (after baseline
-// reuse), then starts one feeder lane per returned grant; lane i issues
-// sequential Run calls with parallelism grants[i]. Run must always return a
-// usable manifest entry — backends report failures (a crashed worker pool, a
-// vanished target) through RunManifest.Error, never by panicking or blocking
-// forever. When the context is cancelled, in-flight Run calls must return
-// promptly with an "interrupted: …" error entry, matching the local
-// backend's semantics.
-//
-// Close releases backend resources (worker subprocesses, pipes). The
-// campaign engine never closes an executor it was given — the caller that
-// created the backend owns its lifetime, because a backend (and its warmed
-// caches) may serve several campaigns.
+// Executor runs one campaign job with the lane's parallelism grant and
+// returns its manifest entry plus report stream. Run must always return a
+// usable manifest entry — failures are reported through RunManifest.Error,
+// never by panicking or blocking forever. When the context is cancelled, an
+// in-flight Run must return promptly with an "interrupted: …" error entry.
 type Executor interface {
-	Negotiate(budget int, pending []PlannedJob) []int
 	Run(ctx context.Context, j Job, parallelism int) (RunManifest, []Report)
-	Close() error
 }
 
 // LocalExecutor is the in-process backend: jobs run on this process's
-// goroutines against one shared solver, exactly as the pre-seam campaign
-// engine ran them. It resolves targets through the campaign options, so
-// campaign-local Extra descriptors (the mutation engine's generated
-// variants) work here and only here — descriptors carry function values
-// that cannot cross a process boundary.
+// goroutines against one shared solver. It resolves targets through the
+// campaign options, so campaign-local Extra descriptors (the mutation
+// engine's generated variants) resolve alongside the registry.
 type LocalExecutor struct {
 	opts Options
 	sol  *solver.Solver
@@ -81,38 +44,41 @@ func NewLocalExecutor(opts Options, sol *solver.Solver) *LocalExecutor {
 	return &LocalExecutor{opts: opts, sol: sol}
 }
 
-// Negotiate reproduces the historical pool sizing: min(budget, pending)
-// lanes, with the budget's remainder distributed so no slot is floored away
-// (splitBudget).
-func (e *LocalExecutor) Negotiate(budget int, pending []PlannedJob) []int {
-	lanes := budget
-	if lanes > len(pending) {
-		lanes = len(pending)
-	}
-	return splitBudget(budget, lanes)
-}
-
-// Run executes one job in-process with the lane's parallelism grant.
+// Run executes one target×mode analysis with the shared solver and the
+// given intra-job parallelism, and converts the outcome into its manifest
+// entry and report stream. A job cancelled mid-exploration is recorded as
+// interrupted: its partial class set is discarded — a bundle must never
+// present a cut-short job as that target's result.
 func (e *LocalExecutor) Run(ctx context.Context, j Job, parallelism int) (RunManifest, []Report) {
-	d, ok := e.opts.lookupTarget(j.Target)
-	return runJob(ctx, j, d, ok, parallelism, e.sol, core.Observer{})
-}
-
-// Close is a no-op: the local backend holds no resources beyond the solver
-// its caller owns.
-func (e *LocalExecutor) Close() error { return nil }
-
-// ExecuteJob runs one job against the global registry with the given solver
-// — the single-job execution path shared by the local backend and the
-// achilles-worker subprocess, so a job computes the same manifest entry and
-// report stream whichever process hosts it. The observer streams live
-// phase/Trojan/progress events (a worker forwards them as wire progress
-// ticks); pass core.Observer{} for none. A nil solver gets
-// solver.Default().
-func ExecuteJob(ctx context.Context, j Job, parallelism int, sol *solver.Solver, obs core.Observer) (RunManifest, []Report) {
-	if sol == nil {
-		sol = solver.Default()
+	rm := RunManifest{
+		Target:     j.Target,
+		Mode:       j.Mode.String(),
+		ReportFile: reportFileName(j),
 	}
-	d, ok := registry.Lookup(j.Target)
-	return runJob(ctx, j, d, ok, parallelism, sol, obs)
+	d, ok := e.opts.lookupTarget(j.Target)
+	if !ok {
+		rm.Error = fmt.Sprintf("target %q disappeared from the registry", j.Target)
+		return rm, nil
+	}
+	t0 := time.Now()
+	tgt := d.Target()
+	aopts := d.Analysis
+	aopts.Mode = j.Mode
+	aopts.Parallelism = parallelism
+	aopts.Solver = e.sol
+	run, err := core.RunCtx(ctx, tgt, aopts)
+	rm.WallMS = time.Since(t0).Milliseconds()
+	if ctxErr := ctx.Err(); ctxErr != nil {
+		rm.Error = "interrupted: " + ctxErr.Error()
+		return rm, nil
+	}
+	if err != nil {
+		rm.Error = err.Error()
+		return rm, nil
+	}
+	rm.Classes = len(run.Analysis.Trojans)
+	rm.ClientPaths = len(run.Clients.Paths)
+	rm.Truncated = run.Truncated()
+	rm.Counters = Counters(run.Counters())
+	return rm, ReportsFromRun(tgt.FieldNames, run.Analysis.Trojans)
 }

@@ -191,7 +191,7 @@ type analysis struct {
 	stop   context.CancelFunc
 
 	// observing gates the live-counter and streamed-report bookkeeping so
-	// observer-less runs (campaign jobs, v1 Run, benchmarks) pay nothing
+	// observer-less runs (campaign jobs, core.Run, benchmarks) pay nothing
 	// for it on the hot branch path.
 	observing bool
 	// Live counters for progress reporting (atomic: hooks run concurrently).

@@ -29,7 +29,7 @@ func staleVersionFile(t *testing.T, format int, solverVersion string) (string, [
 	x := v("x")
 	query := []*expr.Expr{expr.Gt(x, c(0)), expr.Lt(x, c(10))}
 	hdr, _ := json.Marshal(cacheHeader{Format: format, Solver: solverVersion})
-	ent, _ := json.Marshal(CacheEntry{Key: queryKey(query), Res: int(Unsat)})
+	ent, _ := json.Marshal(cacheEntry{Key: queryKey(query), Res: int(Unsat)})
 	path := filepath.Join(t.TempDir(), "stale.jsonl")
 	if err := os.WriteFile(path, []byte(string(hdr)+"\n"+string(ent)+"\n"), 0o644); err != nil {
 		t.Fatal(err)

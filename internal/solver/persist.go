@@ -1,13 +1,9 @@
 package solver
 
-// Persistence and exchange of the verdict cache. A cache file makes even a
-// forced cold campaign warm: the canonical query rendering (queryKey) is the
-// entry key, so any process that re-issues a structurally identical query —
-// across targets, runs and days — replays the verdict instead of re-solving
-// it. The same CacheEntry encoding travels over the distributed campaign's
-// wire protocol (internal/dispatch): workers ship newly learned verdicts
-// back to the coordinator as deltas, and the coordinator rebroadcasts them,
-// so a verdict proved anywhere in the fleet is reused everywhere.
+// Persistence of the verdict cache. A cache file makes even a forced cold
+// campaign warm: the canonical query rendering (queryKey) is the entry key,
+// so any process that re-issues a structurally identical query — across
+// targets, runs and days — replays the verdict instead of re-solving it.
 //
 // The file is defensive in both directions:
 //
@@ -17,14 +13,14 @@ package solver
 //     stale verdict is worse than a cold cache;
 //   - writing goes through a temp file + fsync + atomic rename (the same
 //     discipline as the campaign manifest), so a process killed mid-save —
-//     a crashed worker, a second SIGINT — can never leave a torn cache file
+//     a crash, a second SIGINT — can never leave a torn cache file
 //     at the destination path: readers observe either the previous complete
 //     cache or the new complete cache, nothing in between;
 //   - loading never trusts blindly: entries are marked "loaded" and
 //     re-verified on first use (see Solver.Check — Sat models re-evaluated
 //     against the live query, a sampled subset of Unsat/Unknown verdicts
 //     re-solved), so a corrupt or hand-edited file cannot inject verdicts
-//     into an analysis. Imported delta entries get the same treatment.
+//     into an analysis.
 
 import (
 	"bufio"
@@ -56,13 +52,10 @@ type cacheHeader struct {
 	Solver string `json:"solver"`
 }
 
-// CacheEntry is one verdict in wire form — the JSONL line layout shared by
-// cache files (SaveCache/LoadCache) and the distributed campaign's
-// cache-delta exchange (ExportCache/ImportCache over internal/dispatch).
-// The key is the canonical query rendering (not a hash), so an entry can
-// never alias a different formula — the same soundness argument as the
-// in-memory cache.
-type CacheEntry struct {
+// cacheEntry is one verdict as a cache-file JSONL line. The key is the
+// canonical query rendering (not a hash), so an entry can never alias a
+// different formula — the same soundness argument as the in-memory cache.
+type cacheEntry struct {
 	Key   string   `json:"k"`
 	Res   int      `json:"r"`
 	Model expr.Env `json:"m,omitempty"`
@@ -70,36 +63,34 @@ type CacheEntry struct {
 
 // valid reports whether the entry could have been produced by this solver
 // revision: a usable key and a verdict in range.
-func (e CacheEntry) valid() bool {
+func (e cacheEntry) valid() bool {
 	return e.Key != "" && e.Res >= int(Unsat) && e.Res <= int(Unknown)
 }
 
-// ExportCache snapshots every cached verdict as wire entries, sorted by key
+// exportCache snapshots every cached verdict as file entries, sorted by key
 // so identical caches export identically. It returns ErrCacheDisabled on a
 // cache-less solver.
-func (s *Solver) ExportCache() ([]CacheEntry, error) {
+func (s *Solver) exportCache() ([]cacheEntry, error) {
 	if s.cache == nil {
 		return nil, ErrCacheDisabled
 	}
 	keys, verdicts := s.cache.snapshot()
-	out := make([]CacheEntry, len(keys))
+	out := make([]cacheEntry, len(keys))
 	for i := range keys {
-		out[i] = CacheEntry{Key: keys[i], Res: int(verdicts[i].res), Model: verdicts[i].model}
+		out[i] = cacheEntry{Key: keys[i], Res: int(verdicts[i].res), Model: verdicts[i].model}
 	}
 	return out, nil
 }
 
-// ImportCache merges wire entries into the verdict cache and returns how
+// importCache merges file entries into the verdict cache and returns how
 // many were stored. The import is all-or-nothing on validation: every entry
 // is checked first, and one malformed entry (empty key, out-of-range
 // verdict) rejects the whole batch with zero entries merged. Accepted
-// entries are marked loaded — re-verified on first use exactly like entries
-// from a cache file, because a delta that crossed a process boundary is no
-// more trustworthy than one that crossed a filesystem. Imported entries
-// never displace verdicts the live process has already computed, and
-// entries beyond a shard's capacity are dropped rather than evicting
+// entries are marked loaded, so they are re-verified on first use. Imported
+// entries never displace verdicts the live process has already computed,
+// and entries beyond a shard's capacity are dropped rather than evicting
 // anything.
-func (s *Solver) ImportCache(entries []CacheEntry) (int, error) {
+func (s *Solver) importCache(entries []cacheEntry) (int, error) {
 	if s.cache == nil {
 		return 0, ErrCacheDisabled
 	}
@@ -124,7 +115,7 @@ func (s *Solver) ImportCache(entries []CacheEntry) (int, error) {
 // half-written cache — not even when the writing process is killed mid-save
 // or the machine loses power between the write and the rename.
 func (s *Solver) SaveCache(path string) error {
-	entries, err := s.ExportCache()
+	entries, err := s.exportCache()
 	if err != nil {
 		return err
 	}
@@ -207,14 +198,14 @@ func (s *Solver) LoadCache(path string) (int, error) {
 		return 0, fmt.Errorf("%w: %s was written as format %d / %s, this solver reads format %d / %s",
 			ErrCacheVersion, path, hdr.Format, hdr.Solver, CacheFileVersion, Version)
 	}
-	var entries []CacheEntry
+	var entries []cacheEntry
 	lineNo := 1
 	for sc.Scan() {
 		lineNo++
 		if len(sc.Bytes()) == 0 {
 			continue
 		}
-		var ent CacheEntry
+		var ent cacheEntry
 		if err := json.Unmarshal(sc.Bytes(), &ent); err != nil {
 			return 0, fmt.Errorf("solver: load cache %s:%d: corrupt entry: %w", path, lineNo, err)
 		}
@@ -227,5 +218,5 @@ func (s *Solver) LoadCache(path string) (int, error) {
 	if err := sc.Err(); err != nil {
 		return 0, fmt.Errorf("solver: load cache %s: %w", path, err)
 	}
-	return s.ImportCache(entries)
+	return s.importCache(entries)
 }

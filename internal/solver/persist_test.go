@@ -113,7 +113,7 @@ func TestCacheLoadRejectsCorruption(t *testing.T) {
 	// merged — "treat the file as cold" has to be literally true.
 	x := v("x")
 	query := []*expr.Expr{expr.Gt(x, c(0)), expr.Lt(x, c(10))}
-	good, _ := json.Marshal(CacheEntry{Key: queryKey(query), Res: int(Unknown)})
+	good, _ := json.Marshal(cacheEntry{Key: queryKey(query), Res: int(Unknown)})
 	partial := filepath.Join(dir, "partial.jsonl")
 	if err := os.WriteFile(partial, []byte(string(hdr)+"\n"+string(good)+"\n{truncat"), 0o644); err != nil {
 		t.Fatal(err)
@@ -140,7 +140,7 @@ func poisonedFile(t *testing.T, res Result, model expr.Env) (string, []*expr.Exp
 	x := v("x")
 	query := []*expr.Expr{expr.Gt(x, c(0)), expr.Lt(x, c(10))}
 	hdr, _ := json.Marshal(cacheHeader{Format: CacheFileVersion, Solver: Version})
-	ent, _ := json.Marshal(CacheEntry{Key: queryKey(query), Res: int(res), Model: model})
+	ent, _ := json.Marshal(cacheEntry{Key: queryKey(query), Res: int(res), Model: model})
 	path := filepath.Join(t.TempDir(), "poisoned.jsonl")
 	if err := os.WriteFile(path, []byte(string(hdr)+"\n"+string(ent)+"\n"), 0o644); err != nil {
 		t.Fatal(err)
@@ -279,14 +279,14 @@ func TestSaveCacheCrashSimulation(t *testing.T) {
 	}
 }
 
-// TestCacheExportImportRoundTrip: ExportCache/ImportCache (the delta-exchange
-// surface) carry exactly what SaveCache/LoadCache persist — verdicts merge
+// TestCacheExportImportRoundTrip: exportCache/importCache (the layer under
+// SaveCache/LoadCache) carry exactly what a cache file persists — verdicts merge
 // into a cold solver, imports are marked for first-use re-verification, and
 // a malformed batch is rejected all-or-nothing.
 func TestCacheExportImportRoundTrip(t *testing.T) {
 	warm := Default()
 	seedQueries(warm, 4)
-	entries, err := warm.ExportCache()
+	entries, err := warm.exportCache()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,7 +300,7 @@ func TestCacheExportImportRoundTrip(t *testing.T) {
 	}
 
 	cold := Default()
-	merged, err := cold.ImportCache(entries)
+	merged, err := cold.importCache(entries)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,24 +322,24 @@ func TestCacheExportImportRoundTrip(t *testing.T) {
 	}
 
 	// Re-import is idempotent: nothing merges twice.
-	if merged, err = cold.ImportCache(entries); err != nil || merged != 0 {
+	if merged, err = cold.importCache(entries); err != nil || merged != 0 {
 		t.Errorf("re-import merged %d entries (err=%v), want 0", merged, err)
 	}
 
 	// All-or-nothing validation: one bad entry rejects the whole batch.
 	victim := Default()
-	bad := append(append([]CacheEntry{}, entries[:2]...), CacheEntry{Key: "", Res: int(Sat)})
-	if merged, err = victim.ImportCache(bad); err == nil || merged != 0 {
+	bad := append(append([]cacheEntry{}, entries[:2]...), cacheEntry{Key: "", Res: int(Sat)})
+	if merged, err = victim.importCache(bad); err == nil || merged != 0 {
 		t.Errorf("batch with invalid entry merged %d entries (err=%v)", merged, err)
 	}
-	if got, _ := victim.ExportCache(); len(got) != 0 {
+	if got, _ := victim.exportCache(); len(got) != 0 {
 		t.Errorf("invalid batch left %d entries behind", len(got))
 	}
 
-	if _, err := New(Options{DisableCache: true}).ExportCache(); !errors.Is(err, ErrCacheDisabled) {
+	if _, err := New(Options{DisableCache: true}).exportCache(); !errors.Is(err, ErrCacheDisabled) {
 		t.Errorf("disabled cache export: want ErrCacheDisabled, got %v", err)
 	}
-	if _, err := New(Options{DisableCache: true}).ImportCache(entries); !errors.Is(err, ErrCacheDisabled) {
+	if _, err := New(Options{DisableCache: true}).importCache(entries); !errors.Is(err, ErrCacheDisabled) {
 		t.Errorf("disabled cache import: want ErrCacheDisabled, got %v", err)
 	}
 }
@@ -351,11 +351,11 @@ func TestCacheFileKeysSurviveJSON(t *testing.T) {
 	if !strings.Contains(key, "\x00") {
 		t.Fatal("canonical key lost its NUL separators")
 	}
-	raw, err := json.Marshal(CacheEntry{Key: key, Res: int(Unknown)})
+	raw, err := json.Marshal(cacheEntry{Key: key, Res: int(Unknown)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var back CacheEntry
+	var back cacheEntry
 	if err := json.Unmarshal(raw, &back); err != nil {
 		t.Fatal(err)
 	}
