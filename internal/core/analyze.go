@@ -241,6 +241,7 @@ func AnalyzeServerCtx(ctx context.Context, server *lang.Unit, pc *ClientPredicat
 		observing: opts.Observer.OnProgress != nil || opts.Observer.OnTrojan != nil,
 	}
 	a.bindReps = bindReps(pc)
+	stopProgress := func() {}
 	if opts.Observer.OnProgress != nil {
 		progDone := make(chan struct{})
 		progExited := make(chan struct{})
@@ -250,10 +251,14 @@ func AnalyzeServerCtx(ctx context.Context, server *lang.Unit, pc *ClientPredicat
 		}()
 		// Synchronous shutdown: no OnProgress callback may outlive this
 		// function — callers (sessions) close their event sinks right after.
-		defer func() {
-			close(progDone)
-			<-progExited
-		}()
+		var once sync.Once
+		stopProgress = func() {
+			once.Do(func() {
+				close(progDone)
+				<-progExited
+			})
+		}
+		defer stopProgress()
 	}
 	execOpts := opts.Exec
 	execOpts.Solver = a.sol
@@ -311,6 +316,9 @@ func AnalyzeServerCtx(ctx context.Context, server *lang.Unit, pc *ClientPredicat
 	a.res.Duration = time.Since(a.start)
 	a.res.SolverStats = a.sol.Stats()
 	if opts.Observer.OnProgress != nil {
+		// Stop the ticker first so no in-flight periodic snapshot can land
+		// after the final one.
+		stopProgress()
 		a.emitProgress() // final snapshot with the completed counters
 	}
 	// Only the caller's cancellation is an error; the internal first-trojan

@@ -1,12 +1,12 @@
 package solver_test
 
-// Differential gate for the solver fast path: the CDCL+interning solver and
-// the pinned naive-DPLL reference (reference.go) must agree on Sat/Unsat/
+// Differential gate for the solver fast path: the interning solver and the
+// pinned naive-DPLL reference (reference.go) must agree on Sat/Unsat/
 // Unknown and on returned models over a large corpus of random formulas.
 // The suite runs the shared-state solver deliberately — one Solver instance
 // across all queries, and concurrently in the sharded variant — so the
-// cross-query machinery (arena, learned sets, propOK memo, verdict cache,
-// prefix seeding) is exactly what is being exercised against the stateless
+// cross-query machinery (arena, split-gate memo, verdict cache, prefix
+// handles) is exactly what is being exercised against the stateless
 // reference.
 
 import (
@@ -156,7 +156,7 @@ func TestSolverDifferentialPrefix(t *testing.T) {
 // TestSolverDifferentialConcurrent shards the corpus over 8 goroutines that
 // share ONE fast solver — the configuration the analysis engines run — and
 // compares every query against per-goroutine references. Run under -race in
-// CI, this is the concurrency gate for the arena/learned-set/propOK state.
+// CI, this is the concurrency gate for the arena/propOK/verdict-cache state.
 func TestSolverDifferentialConcurrent(t *testing.T) {
 	const workers = 8
 	n := 500 // per worker

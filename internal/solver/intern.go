@@ -13,7 +13,7 @@ package solver
 // Entries also carry a stable per-solver ID. IDs order by first-intern time,
 // which is scheduling-dependent under concurrent analysis workers — they are
 // therefore never persisted and never compared across solvers; their only
-// uses are set-membership keys (learned conflict sets, prefix subsumption),
+// uses are set-membership keys (the split-gate memo, prefix subsumption),
 // which are order-insensitive.
 //
 // Unification is structural: a pointer-cache fast path (path-constraint

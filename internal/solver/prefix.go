@@ -5,25 +5,18 @@ package solver
 // "the whole path so far, plus one candidate condition". Re-solving the
 // shared prefix from scratch on each query is where the analysis used to
 // spend most of its time; a Prefix is the push/pop-style assumption handle
-// that carries the prefix's solved form forward instead:
+// that carries the prefix's prepared form forward instead:
 //
 //   - the flattened, interned form of the path (conjunctive atoms and
 //     disjunctions), extended incrementally;
-//   - the interval-propagation fixpoint of the conjunctive atoms, used to
-//     seed later propagation runs. Seeding is exact, not just sound: the
-//     per-atom tighteners are monotone narrowing operators, so chaotic
-//     iteration started from the prefix fixpoint (a set between the full
-//     fixpoint and the top element) converges to the same fixpoint as
-//     iteration started from unconstrained domains — the seeded and
-//     unseeded solves agree on final domains, hence on verdicts and models.
-//     The one caveat is the bounded round count in propagate: a run that
-//     hits the round cap can stop above the fixpoint, and the seeded run
-//     may then be strictly tighter. The cap exists only as a termination
-//     backstop for adversarial narrowing chains; the golden-corpus,
-//     -j equivalence and mutation-recall suites gate that it never binds on
-//     real workloads;
+//   - the sorted renderings of the path's constraints, from which each
+//     query's verdict-cache key is assembled without re-sorting;
 //   - the interned-ID set of the conjunctive atoms, which gives the engine
 //     an O(1) syntactic subsumption check (Implies) for frontier branching.
+//
+// Each query propagates its whole conjunction from unconstrained
+// domains, so a prefix query decides exactly what CheckCtx over the
+// materialised constraint slice decides.
 //
 // A Prefix is immutable: Extend returns a new handle and never mutates the
 // receiver, so sibling states forked from one parent — possibly on
@@ -65,10 +58,9 @@ type Prefix struct {
 	conj    []*internEntry  // flattened conjunctive atoms
 	disj    []*internEntry  // flattened disjunctions
 	ids     map[uint64]bool // interned IDs of conj, for Implies
-	domains map[string]interval
-	// refuted marks a prefix containing a literal false constraint; the
-	// domain seed is absent then and every check answers Unsat, exactly as
-	// flattening the full constraint slice would.
+	// refuted marks a prefix containing a literal false constraint; every
+	// check then answers Unsat, exactly as flattening the full constraint
+	// slice would.
 	refuted bool
 }
 
@@ -77,8 +69,7 @@ func (s *Solver) NewPrefix() *Prefix {
 	return &Prefix{s: s, ids: map[uint64]bool{}}
 }
 
-// Extend returns the prefix with cond appended, carrying the propagation
-// fixpoint forward. The receiver is unchanged.
+// Extend returns the prefix with cond appended. The receiver is unchanged.
 func (p *Prefix) Extend(cond *expr.Expr) *Prefix {
 	if p == nil {
 		return nil
@@ -99,27 +90,6 @@ func (p *Prefix) Extend(cond *expr.Expr) *Prefix {
 	np.ids = make(map[uint64]bool, len(np.conj))
 	for _, en := range np.conj {
 		np.ids[en.id] = true
-	}
-	if !np.refuted {
-		// Re-propagate from the parent fixpoint: typically one confirming
-		// round plus whatever the new atoms narrow. A refuted or conflicted
-		// conjunction leaves the seed absent — the per-query solve will
-		// rediscover the refutation through the learned index at its usual
-		// (budget-free) cost.
-		cs := s.newConjState(np.conj, p.domains)
-		if !linearConflict(cs.atoms) && s.propagate(cs) {
-			// cs.domains holds only this round's narrowings (reads fall
-			// through to the seed); the stored fixpoint must be the full
-			// overlay so it can seed future solves on its own.
-			merged := make(map[string]interval, len(p.domains)+len(cs.domains))
-			for k, v := range p.domains {
-				merged[k] = v
-			}
-			for k, v := range cs.domains {
-				merged[k] = v
-			}
-			np.domains = merged
-		}
 	}
 	return np
 }
@@ -171,7 +141,7 @@ func (p *Prefix) Implies(cond *expr.Expr) (holds, ok bool) {
 // CheckPrefixAllCtx decides the conjunction of the prefix's constraints and
 // every expression in conds. It is equivalent to CheckCtx over the
 // materialised slice — same verdicts, models, cache keys and entries — but
-// reuses the prefix's flattened form and propagation fixpoint. The analysis
+// reuses the prefix's flattened form and sorted renderings. The analysis
 // layer uses it for its path-plus-suffix queries (client-path binds, Trojan
 // negation sets) where the suffix has more than one conjunct.
 func (s *Solver) CheckPrefixAllCtx(ctx context.Context, p *Prefix, conds []*expr.Expr) (Result, expr.Env) {
@@ -211,7 +181,7 @@ func (s *Solver) CheckPrefixAllCtx(ctx context.Context, p *Prefix, conds []*expr
 				fq.refuted = true
 			}
 		}
-		return s.check(ctx, fq, p.domains)
+		return s.check(ctx, fq)
 	})
 }
 
@@ -224,7 +194,7 @@ func (s *Solver) CheckPrefix(p *Prefix, cond *expr.Expr) (Result, expr.Env) {
 // cond. It is equivalent to CheckCtx over the materialised constraint slice
 // — same verdicts, same models, same cache keys and entries, same
 // re-verification of loaded entries — but reuses the prefix's flattened form
-// and propagation fixpoint instead of rebuilding them per query.
+// and sorted renderings instead of rebuilding them per query.
 func (s *Solver) CheckPrefixCtx(ctx context.Context, p *Prefix, cond *expr.Expr) (Result, expr.Env) {
 	if p == nil {
 		return s.CheckCtx(ctx, []*expr.Expr{cond})
@@ -249,6 +219,6 @@ func (s *Solver) CheckPrefixCtx(ctx context.Context, p *Prefix, cond *expr.Expr)
 		if !fq.refuted && !s.flattenInto(cond, &fq.conj, &fq.disj) {
 			fq.refuted = true
 		}
-		return s.check(ctx, fq, p.domains)
+		return s.check(ctx, fq)
 	})
 }

@@ -35,7 +35,9 @@ package solver
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
+	"sync"
 	"sync/atomic"
 
 	"achilles/internal/expr"
@@ -47,11 +49,11 @@ import (
 // policy, Unknown treatment), so stale on-disk caches are discarded at load
 // instead of replaying verdicts this solver would no longer produce.
 //
-// solver/2: interned expressions, learned conflict sets and incremental
-// prefix solving (see intern.go, learn.go, prefix.go). The decision
-// procedure is designed to be verdict- and model-preserving, but the fast
-// path introduces cross-query state that the solver/1 revision did not
-// have, so caches written by solver/1 are refused rather than replayed.
+// solver/2: interned expressions, incremental prefix handles and the
+// split-gate memo (see intern.go, prefix.go). The decision procedure is
+// designed to be verdict- and model-preserving, but the fast path
+// introduces cross-query state that the solver/1 revision did not have, so
+// caches written by solver/1 are refused rather than replayed.
 const Version = "solver/2"
 
 // Result is the outcome of a satisfiability check.
@@ -98,12 +100,12 @@ type Stats struct {
 	Reverified     int
 	ReverifyFailed int
 
-	// Fast-path counters (see intern.go, learn.go): Interned is the number
-	// of structurally distinct expressions in the arena, LearnedSets the
-	// number of recorded conflict sets, LearnedHits the number of
-	// conjunctions answered Unsat from the learned index without
-	// re-propagating, FeasibleHits the number of split-node feasibility
-	// gates answered "not refuted" from the complementary memo.
+	// Fast-path counters (see intern.go, feasible): Interned is the number
+	// of structurally distinct expressions in the arena, FeasibleHits the
+	// number of split-node feasibility gates answered "not refuted" from
+	// the split-gate memo. LearnedSets and LearnedHits always read 0: the
+	// solver keeps no learned conflict-set index; the fields remain for
+	// existing readers of Stats.
 	Interned     int
 	LearnedSets  int
 	LearnedHits  int
@@ -122,7 +124,6 @@ type counters struct {
 	cacheMisses    atomic.Int64
 	reverified     atomic.Int64
 	reverifyFailed atomic.Int64
-	learnedHits    atomic.Int64
 	feasibleHits   atomic.Int64
 }
 
@@ -135,15 +136,17 @@ type Options struct {
 	// enumerated; larger domains use boundary heuristics only. Zero means
 	// the default (1 << 16).
 	MaxEnumDomain int64
-	// CacheShards is the number of mutex stripes of the verdict cache. Zero
-	// means the default (64).
-	CacheShards int
-	// CacheShardEntries bounds the entries held per shard; one arbitrary
-	// entry is evicted on overflow. Zero means the default (4096).
-	CacheShardEntries int
 	// DisableCache turns the verdict cache off; every Check solves afresh.
 	DisableCache bool
 }
+
+// The verdict cache has cacheShards mutex stripes of at most
+// cacheShardEntries entries each; one arbitrary entry is evicted on
+// overflow.
+const (
+	cacheShards       = 64
+	cacheShardEntries = 4096
+)
 
 // Solver decides satisfiability of constraint conjunctions. A Solver may be
 // reused across queries and shared between goroutines: the search state is
@@ -154,8 +157,7 @@ type Solver struct {
 	cache       *verdictCache // nil when disabled
 	loadedProbe atomic.Int64  // loaded Unsat/Unknown hits, for sampling
 	arena       *internArena  // hash-consed expressions (intern.go)
-	learned     *learnedSet   // refuted conjunction index (learn.go)
-	propOK      *learnedSet   // non-refuted split-gate index (learn.go)
+	propOK      *atomSetMemo  // non-refuted split-gate memo (see feasible)
 }
 
 // New returns a Solver with the given options.
@@ -166,15 +168,9 @@ func New(opts Options) *Solver {
 	if opts.MaxEnumDomain == 0 {
 		opts.MaxEnumDomain = 1 << 16
 	}
-	if opts.CacheShards == 0 {
-		opts.CacheShards = 64
-	}
-	if opts.CacheShardEntries == 0 {
-		opts.CacheShardEntries = 4096
-	}
-	s := &Solver{opts: opts, arena: newInternArena(), learned: newLearnedSet(), propOK: newLearnedSet()}
+	s := &Solver{opts: opts, arena: newInternArena(), propOK: newAtomSetMemo()}
 	if !opts.DisableCache {
-		s.cache = newVerdictCache(opts.CacheShards, opts.CacheShardEntries)
+		s.cache = newVerdictCache(cacheShards, cacheShardEntries)
 	}
 	return s
 }
@@ -198,8 +194,6 @@ func (s *Solver) Stats() Stats {
 		ReverifyFailed: int(s.stats.reverifyFailed.Load()),
 
 		Interned:     s.arena.size(),
-		LearnedSets:  s.learned.size(),
-		LearnedHits:  int(s.stats.learnedHits.Load()),
 		FeasibleHits: int(s.stats.feasibleHits.Load()),
 	}
 }
@@ -216,7 +210,6 @@ func (s *Solver) ResetStats() {
 	s.stats.cacheMisses.Store(0)
 	s.stats.reverified.Store(0)
 	s.stats.reverifyFailed.Store(0)
-	s.stats.learnedHits.Store(0)
 	s.stats.feasibleHits.Store(0)
 }
 
@@ -249,7 +242,7 @@ func (s *Solver) CheckCtx(ctx context.Context, constraints []*expr.Expr) (Result
 	keyFn := func() string { return queryKeyInterned(entries) }
 	constraintsFn := func() []*expr.Expr { return constraints }
 	return s.checkCached(ctx, keyFn, constraintsFn, func(ctx context.Context) (Result, expr.Env) {
-		return s.check(ctx, flattenQuery(s, entries), nil)
+		return s.check(ctx, flattenQuery(s, entries))
 	})
 }
 
@@ -337,7 +330,7 @@ func (s *Solver) trustLoaded(key string, ent verdict, constraints []*expr.Expr) 
 }
 
 // flatQuery is one query flattened into interned conjunctive atoms and
-// disjunctions, plus the optional domain seed of a path prefix.
+// disjunctions.
 type flatQuery struct {
 	conj    []*internEntry
 	disj    []*internEntry
@@ -356,15 +349,13 @@ func flattenQuery(s *Solver, entries []*internEntry) flatQuery {
 	return fq
 }
 
-// check solves one flattened query without consulting the cache. seed, when
-// non-nil, is a sound domain pre-narrowing for a subset of the conjunction
-// (see Prefix) — propagation starts from it instead of full domains.
-func (s *Solver) check(ctx context.Context, fq flatQuery, seed map[string]interval) (Result, expr.Env) {
+// check solves one flattened query without consulting the cache.
+func (s *Solver) check(ctx context.Context, fq flatQuery) (Result, expr.Env) {
 	if fq.refuted {
 		return Unsat, nil
 	}
 	budget := s.opts.MaxDecisions
-	res, model := s.solve(ctx, fq.conj, fq.disj, seed, &budget)
+	res, model := s.solve(ctx, fq.conj, fq.disj, &budget)
 	if res == Unknown {
 		s.stats.unknowns.Add(1)
 	}
@@ -406,15 +397,13 @@ func disjuncts(e *expr.Expr, out *[]*expr.Expr) {
 
 // solve handles DPLL splitting over the disjunctions, then delegates pure
 // conjunctions to solveConj. A cancelled ctx aborts the split tree with
-// Unknown at the next node boundary. seed (possibly nil) is a sound domain
-// pre-narrowing for a subset of conj; it stays valid down the split tree
-// because branches only ever add atoms.
-func (s *Solver) solve(ctx context.Context, conj, disj []*internEntry, seed map[string]interval, budget *int) (Result, expr.Env) {
+// Unknown at the next node boundary.
+func (s *Solver) solve(ctx context.Context, conj, disj []*internEntry, budget *int) (Result, expr.Env) {
 	if ctx.Err() != nil {
 		return Unknown, nil
 	}
 	if len(disj) == 0 {
-		return s.solveConj(ctx, conj, seed, budget)
+		return s.solveConj(ctx, conj, budget)
 	}
 	// Split-node pruning: refute the partial conjunction by propagation
 	// before splitting further. Without this, a contradicted disjunct picked
@@ -426,7 +415,7 @@ func (s *Solver) solve(ctx context.Context, conj, disj []*internEntry, seed map[
 	// disjuncts can never make an unsat conjunction satisfiable), so
 	// verdicts are unchanged; only the visit order of the split tree
 	// shrinks.
-	if !s.feasibleSeeded(conj, seed) {
+	if !s.feasible(conj) {
 		return Unsat, nil
 	}
 	// Split on the first disjunction; propagation inside solveConj will
@@ -446,7 +435,7 @@ func (s *Solver) solve(ctx context.Context, conj, disj []*internEntry, seed map[
 		if !s.flattenInto(p, &subConj, &subDisj) {
 			continue
 		}
-		res, model := s.solve(ctx, subConj, subDisj, seed, budget)
+		res, model := s.solve(ctx, subConj, subDisj, budget)
 		switch res {
 		case Sat:
 			return Sat, model
@@ -516,17 +505,15 @@ func clamp(v int64) int64 {
 
 // conjState is the mutable state of a conjunction search. Domain reads are
 // layered: the assignment, then the narrowings written this solve (domains),
-// then the read-only seed (a prefix fixpoint), then the full interval — so a
-// fresh state costs nothing per variable and search clones copy only what
-// this solve actually narrowed. All reads must go through domainOf; a direct
-// domains[v] lookup would misread an untouched variable as the empty-ish
-// zero interval.
+// then the full interval — so a fresh state costs nothing per variable and
+// search clones copy only what this solve actually narrowed. All reads must
+// go through domainOf; a direct domains[v] lookup would misread an untouched
+// variable as the empty-ish zero interval.
 type conjState struct {
 	entries  []*internEntry      // interned source atoms (for lazy varOrder)
 	atoms    []*linAtom          // linearised atoms
 	nonlin   []*expr.Expr        // atoms outside the linear fragment
 	domains  map[string]interval // narrowings made during this solve
-	seed     map[string]interval // read-only pre-narrowing (may be nil)
 	assigned expr.Env            // fixed variables
 	orig     []*expr.Expr        // original atoms for final verification
 	varOrder []string            // deterministic variable ordering, built lazily
@@ -546,7 +533,6 @@ func (cs *conjState) clone() *conjState {
 		atoms:    cs.atoms,
 		nonlin:   cs.nonlin,
 		domains:  nd,
-		seed:     cs.seed, // read-only, shared
 		assigned: na,
 		orig:     cs.orig,
 		varOrder: cs.varOrder,
@@ -555,17 +541,12 @@ func (cs *conjState) clone() *conjState {
 
 // newConjState assembles the conjunction search state from interned entries:
 // linearisations and variable lists come from the arena instead of being
-// recomputed. Domains resolve through the seed (a sound pre-narrowing from a
-// path prefix) and default to full — interval propagation is confluent, so
-// starting from the prefix fixpoint reaches the same final domains as
-// starting from the top (see prefix.go for the argument). varOrder is built
-// on demand (ensureVarOrder): the propagation-only callers — feasibleSeeded
-// at every split node, Prefix.Extend — never need it.
-func (s *Solver) newConjState(entries []*internEntry, seed map[string]interval) *conjState {
+// recomputed. varOrder is built on demand (ensureVarOrder): the split-node
+// gate (feasible) only propagates and never needs it.
+func (s *Solver) newConjState(entries []*internEntry) *conjState {
 	cs := &conjState{
 		entries:  entries,
 		domains:  make(map[string]interval, 8),
-		seed:     seed,
 		assigned: expr.Env{},
 		orig:     make([]*expr.Expr, len(entries)),
 	}
@@ -588,31 +569,86 @@ func (cs *conjState) ensureVarOrder() {
 	}
 }
 
-// feasibleSeeded reports whether the budget-free refutation layer — the
-// learned index, linearConflict, interval propagation — fails to refute the
-// conjunction: false means provably unsat. It runs no search, which keeps it
-// cheap enough for every DPLL split node. Fresh refutations are recorded in
-// the learned index so the next conjunction over the same atom set answers
-// from memory.
-func (s *Solver) feasibleSeeded(conj []*internEntry, seed map[string]interval) bool {
-	key := conflictKey(conj)
-	if s.learned.has(key) {
-		s.stats.learnedHits.Add(1)
-		return false
+// atomSetMemoCap bounds the split-gate memo. Recording stops at the cap (no
+// eviction): a full memo keeps serving its hits, and correctness never
+// depends on an insert landing.
+const atomSetMemoCap = 1 << 16
+
+// atomSetMemo is the mutex-guarded set of atom-set keys the split-node gate
+// found not refuted.
+type atomSetMemo struct {
+	mu sync.Mutex
+	m  map[string]struct{}
+}
+
+func newAtomSetMemo() *atomSetMemo {
+	return &atomSetMemo{m: make(map[string]struct{})}
+}
+
+// has reports whether key was recorded.
+func (m *atomSetMemo) has(key string) bool {
+	m.mu.Lock()
+	_, ok := m.m[key]
+	m.mu.Unlock()
+	return ok
+}
+
+// add records key, dropping it when the memo is full.
+func (m *atomSetMemo) add(key string) {
+	m.mu.Lock()
+	if len(m.m) < atomSetMemoCap {
+		m.m[key] = struct{}{}
 	}
-	// The gate is a pure function of the atom set (propagation is confluent;
-	// see prefix.go), so the "not refuted" answer is memoised symmetrically:
-	// sibling split branches rebuild the same partial conjunctions over and
-	// over, and a positive hit skips the whole conjState build + propagation,
-	// not just the refuted case. The answer feeds nothing downstream but the
-	// split/no-split decision, so replaying it cannot shift verdicts.
+	m.mu.Unlock()
+}
+
+// atomSetKey encodes the sorted, deduplicated interned-ID set of a
+// conjunction as a compact byte string. Order-variants and duplicate atoms
+// of one conjunction alias deliberately: neither changes the propagation
+// fixpoint or a pairwise conflict.
+func atomSetKey(entries []*internEntry) string {
+	ids := make([]uint64, 0, len(entries))
+	for _, en := range entries {
+		ids = append(ids, en.id)
+	}
+	// Insertion sort: conjunctions are small and mostly pre-sorted (prefix
+	// atoms intern in path order).
+	for i := 1; i < len(ids); i++ {
+		for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
+			ids[j], ids[j-1] = ids[j-1], ids[j]
+		}
+	}
+	buf := make([]byte, 0, len(ids)*2)
+	var last uint64
+	for i, id := range ids {
+		if i > 0 && id == last {
+			continue
+		}
+		// Delta-encode against the previous ID: sorted sets varint-pack well.
+		buf = binary.AppendUvarint(buf, id-last)
+		last = id
+	}
+	return string(buf)
+}
+
+// feasible reports whether the budget-free refutation layer —
+// linearConflict, interval propagation — fails to refute the conjunction:
+// false means provably unsat. It runs no search, which keeps it cheap enough
+// for every DPLL split node.
+//
+// The answer is a pure function of the conjunction's atom set, so the "not
+// refuted" answer is memoised under atomSetKey: sibling split branches
+// rebuild the same partial conjunctions over and over, and a hit skips the
+// whole conjState build and propagation. The answer feeds nothing downstream
+// but the split/no-split decision, so replaying it cannot shift verdicts.
+func (s *Solver) feasible(conj []*internEntry) bool {
+	key := atomSetKey(conj)
 	if s.propOK.has(key) {
 		s.stats.feasibleHits.Add(1)
 		return true
 	}
-	cs := s.newConjState(conj, seed)
+	cs := s.newConjState(conj)
 	if linearConflict(cs.atoms) || !s.propagate(cs) {
-		s.learned.add(key)
 		return false
 	}
 	s.propOK.add(key)
@@ -620,18 +656,11 @@ func (s *Solver) feasibleSeeded(conj []*internEntry, seed map[string]interval) b
 }
 
 // solveConj decides a pure conjunction of atoms. The budget-free refutation
-// layer runs first (learned index, pairwise conflicts, propagation — all
-// recorded/served via the learned index); only then is the decision budget
-// spent on search.
-func (s *Solver) solveConj(ctx context.Context, conj []*internEntry, seed map[string]interval, budget *int) (Result, expr.Env) {
-	key := conflictKey(conj)
-	if s.learned.has(key) {
-		s.stats.learnedHits.Add(1)
-		return Unsat, nil
-	}
-	cs := s.newConjState(conj, seed)
+// layer runs first (pairwise conflicts, propagation); only then is the
+// decision budget spent on search.
+func (s *Solver) solveConj(ctx context.Context, conj []*internEntry, budget *int) (Result, expr.Env) {
+	cs := s.newConjState(conj)
 	if linearConflict(cs.atoms) || !s.propagate(cs) {
-		s.learned.add(key)
 		return Unsat, nil
 	}
 	cs.ensureVarOrder()
@@ -686,16 +715,12 @@ func fullEnvFor(nl *expr.Expr, cs *conjState) expr.Env {
 }
 
 // domainOf returns the current interval of v, treating assignments as point
-// domains and resolving untouched variables through the seed layer down to
-// the full interval.
+// domains and untouched variables as the full interval.
 func (cs *conjState) domainOf(v string) interval {
 	if x, ok := cs.assigned[v]; ok {
 		return interval{x, x}
 	}
 	if iv, ok := cs.domains[v]; ok {
-		return iv
-	}
-	if iv, ok := cs.seed[v]; ok {
 		return iv
 	}
 	return interval{-satLimit, satLimit}
