@@ -97,6 +97,10 @@ type Options struct {
 	// Extras shadow registry entries of the same name and are appended to
 	// the default plan when Targets is empty. Aliases are ignored.
 	Extra []registry.Descriptor
+	// Observe, when set, supplies each executed job's analysis observer —
+	// achillesd tags the job's phase, trojan and progress events with its
+	// key. Nil observes nothing.
+	Observe func(Job) core.Observer
 	// Executor runs the jobs that are not reused from the baseline. Nil
 	// means NewLocalExecutor(opts, Solver); set it to wrap that backend,
 	// e.g. to observe each job as it returns.
@@ -375,9 +379,8 @@ func splitBudget(budget, workers int) []int {
 // ReportsFromRun converts a completed analysis' Trojan classes into the
 // bundle report stream, in canonical class-line order — so a bundle is a
 // deterministic function of the class set, independent of discovery order
-// and parallelism. Every producer of persisted reports (the campaign engine,
-// the achillesd serving layer) must go through this conversion: it is what
-// makes daemon-produced bundles byte-identical to CLI-produced ones.
+// and parallelism. Every producer of persisted reports goes through this
+// conversion, which is what keeps bundles byte-identical across producers.
 func ReportsFromRun(fields []string, trojans []core.TrojanReport) []Report {
 	reports := make([]Report, 0, len(trojans))
 	for _, tr := range trojans {

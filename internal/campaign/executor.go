@@ -66,6 +66,9 @@ func (e *LocalExecutor) Run(ctx context.Context, j Job, parallelism int) (RunMan
 	aopts.Mode = j.Mode
 	aopts.Parallelism = parallelism
 	aopts.Solver = e.sol
+	if e.opts.Observe != nil {
+		aopts.Observer = e.opts.Observe(j)
+	}
 	run, err := core.RunCtx(ctx, tgt, aopts)
 	rm.WallMS = time.Since(t0).Milliseconds()
 	if ctxErr := ctx.Err(); ctxErr != nil {

@@ -207,18 +207,12 @@ type analysis struct {
 	pending []pendingReport
 }
 
-// AnalyzeServer runs the Achilles server phase against a compiled server
-// model and a preprocessed client predicate.
-func AnalyzeServer(server *lang.Unit, pc *ClientPredicate, opts AnalysisOptions) (*Result, error) {
-	return AnalyzeServerCtx(context.Background(), server, pc, opts)
-}
-
-// AnalyzeServerCtx is AnalyzeServer under a context. Cancellation (or a
-// deadline) aborts the exploration cleanly mid-frontier: the engine stops
-// forking, in-flight solver queries return Unknown, reports whose
-// verification the cancellation degraded are dropped rather than emitted,
-// and the partial result — marked Truncated — is returned together with
-// ctx.Err(). An opts.FirstTrojan early exit uses the same stop path but is
+// AnalyzeServerCtx runs the Achilles server phase against a compiled server
+// model and a preprocessed client predicate. Cancellation (or a deadline)
+// aborts the exploration cleanly mid-frontier: the engine stops forking,
+// in-flight solver queries return Unknown, reports whose verification the
+// cancellation degraded are dropped rather than emitted, and the partial
+// result — marked Truncated — is returned together with ctx.Err(). An opts.FirstTrojan early exit uses the same stop path but is
 // not an error: the result is Truncated and err is nil.
 func AnalyzeServerCtx(ctx context.Context, server *lang.Unit, pc *ClientPredicate, opts AnalysisOptions) (*Result, error) {
 	if ctx == nil {

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"achilles/internal/lang"
+	"achilles/internal/solver"
 	"achilles/internal/testutil"
 )
 
@@ -130,6 +131,34 @@ func TestRunCtxCancelBeforeStart(t *testing.T) {
 	}
 	if run != nil {
 		t.Fatalf("got a result from a pre-cancelled run: %+v", run)
+	}
+}
+
+// TestPreprocessCancelledLeavesMatrixUnknown: a cancellation that lands
+// during the per-path preprocessing pass leaves paths without a field
+// classification, so the differentFrom matrix must stay TriUnknown instead
+// of being built from them.
+func TestPreprocessCancelledLeavesMatrixUnknown(t *testing.T) {
+	tgt := deepTarget(t)
+	pc, err := ExtractClientPredicate(tgt.Clients, ExtractOptions{
+		Exec:           tgt.ClientExec,
+		FieldNames:     tgt.FieldNames,
+		SkipPreprocess: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	pc.PreprocessParallelCtx(ctx, solver.Default(), 2)
+	for i := range pc.differentFrom {
+		for j := range pc.differentFrom[i] {
+			for f, v := range pc.differentFrom[i][j] {
+				if v != TriUnknown {
+					t.Fatalf("differentFrom[%d][%d][%d] = %v after a cancelled preprocess, want TriUnknown", i, j, f, v)
+				}
+			}
+		}
 	}
 }
 

@@ -130,7 +130,7 @@ type ClientPredicate struct {
 	// by default.
 	sharedVars map[string]bool
 
-	// PreprocessStats records the work done by Preprocess.
+	// PreprocessStats records the work done by PreprocessParallelCtx.
 	PreprocessStats PreprocessStats
 
 	// Truncated reports that at least one client exploration hit its
@@ -347,32 +347,23 @@ func (pc *ClientPredicate) FieldIndexOfVar(name string) int {
 	return n
 }
 
-// Preprocess builds, for every client path, the binding constraints, the
-// field classification, the negation disjuncts (with the §4.1 overlap
-// check), and the differentFrom matrix (§3.3).
-func (pc *ClientPredicate) Preprocess(s *solver.Solver) {
-	pc.PreprocessParallel(s, 1)
-}
-
-// PreprocessParallel is Preprocess with the per-path work (binding, field
-// classification, negation with its overlap solver queries, bind keys)
-// fanned out over the given number of workers. Paths are independent, so
-// the produced artifacts are identical to the sequential run; per-path
-// counters are summed in path order, keeping PreprocessStats
+// PreprocessParallelCtx builds, for every client path, the binding
+// constraints, the field classification, the negation disjuncts (with the
+// §4.1 overlap check), and the differentFrom matrix (§3.3). The per-path
+// work (binding, field classification, negation with its overlap solver
+// queries, bind keys) fans out over the given number of workers. Paths are
+// independent, so the produced artifacts are identical to a one-worker run;
+// per-path counters are summed in path order, keeping PreprocessStats
 // deterministic. The differentFrom matrix stays sequential: its memo
 // already collapses the quadratic query load, and the remaining solver
 // calls hit the verdict cache.
-func (pc *ClientPredicate) PreprocessParallel(s *solver.Solver, workers int) {
-	pc.PreprocessParallelCtx(context.Background(), s, workers)
-}
-
-// PreprocessParallelCtx is PreprocessParallel under a context: cancellation
-// skips the remaining per-path work and leaves the rest of the differentFrom
-// matrix at TriUnknown (the conservative don't-know). A cancelled
-// preprocessing run leaves the predicate HALF-BUILT — missing negation
-// disjuncts read as "abandoned" and silently suppress Trojan classes — so
-// callers must check ctx.Err() afterwards and refuse to analyse with it
-// (RunCtx and ExtractClientPredicateCtx both do).
+//
+// Cancellation skips the remaining per-path work and leaves the rest of the
+// differentFrom matrix at TriUnknown (the conservative don't-know). A
+// cancelled preprocessing run leaves the predicate HALF-BUILT — missing
+// negation disjuncts read as "abandoned" and silently suppress Trojan
+// classes — so callers must check ctx.Err() afterwards and refuse to
+// analyse with it (RunCtx and ExtractClientPredicateCtx both do).
 func (pc *ClientPredicate) PreprocessParallelCtx(ctx context.Context, s *solver.Solver, workers int) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -672,6 +663,11 @@ func (pc *ClientPredicate) buildDifferentFrom(ctx context.Context, s *solver.Sol
 		for j := range pc.differentFrom[i] {
 			pc.differentFrom[i][j] = make([]Tri, pc.NumFields)
 		}
+	}
+	if ctx.Err() != nil {
+		// The per-path pass may have skipped paths, which then have no
+		// field classification: the whole matrix stays TriUnknown.
+		return
 	}
 	v := expr.Var("df_v")
 	// Canonical member predicates per (path, field), nil when not simple.

@@ -58,15 +58,11 @@ func daemon(t *testing.T, cfg serve.Config) (*serve.Server, *httptest.Server) {
 	return srv, ts
 }
 
-// deepLookup is a synthetic single-target catalog: 2^12 accepting paths, each
-// its own Trojan class, progress ticking every millisecond — wide and chatty
-// enough that cancellation reliably lands mid-frontier and event streams
-// carry real traffic. Injected via Config.Lookup so the HTTP surface stays
-// black-box.
-func deepLookup(name string) (registry.Descriptor, bool) {
-	if name != "deep" {
-		return registry.Descriptor{}, false
-	}
+// deepTarget is a synthetic target: 2^12 accepting paths, each its own
+// Trojan class, progress ticking every millisecond — wide and chatty enough
+// that cancellation reliably lands mid-frontier and event streams carry real
+// traffic. Injected via Config.Extra so the HTTP surface stays black-box.
+func deepTarget() []registry.Descriptor {
 	server := lang.MustCompile(`
 var m [12]int;
 var acc int;
@@ -95,7 +91,7 @@ func main() {
 	}
 	send(m);
 }`)
-	return registry.Descriptor{
+	return []registry.Descriptor{{
 		Name: "deep",
 		Target: func() core.Target {
 			return core.Target{
@@ -105,7 +101,7 @@ func main() {
 			}
 		},
 		Analysis: core.AnalysisOptions{ProgressInterval: time.Millisecond},
-	}, true
+	}}
 }
 
 // postJob submits a request body and returns the raw response.
@@ -246,14 +242,14 @@ func getJSON(t *testing.T, ts *httptest.Server, path string, v any) int {
 	return resp.StatusCode
 }
 
-// TestE2EAuditMatchesCLIBundle is the heart of the suite: a daemon audit of
-// real registry targets, followed end to end over SSE, must persist a bundle
-// whose report streams are byte-identical to the files achilles-audit run
-// writes for the same targets — the determinism invariant, extended to the
-// wire.
+// TestE2EAuditMatchesCLIBundle is the heart of the suite: a multi-mode daemon
+// audit of real registry targets, followed end to end over SSE, must persist
+// a bundle whose report streams are byte-identical to the files
+// achilles-audit run writes for the same targets and modes, under the same
+// content hash — the determinism invariant, extended to the wire.
 func TestE2EAuditMatchesCLIBundle(t *testing.T) {
 	_, ts := daemon(t, serve.Config{})
-	js := submit(t, ts, `{"targets":["kv","kv-fixed"],"parallelism":8}`, "e2e")
+	js := submit(t, ts, `{"targets":["kv","kv-fixed"],"modes":["optimized","a-posteriori"],"parallelism":8}`, "e2e")
 
 	all := collectUntilDone(t, streamEvents(t, ts, js.EventsURL, nil), 60*time.Second)
 	final := terminalStatus(t, all)
@@ -263,12 +259,12 @@ func TestE2EAuditMatchesCLIBundle(t *testing.T) {
 	if final.Bundle == "" {
 		t.Fatal("finished job has no bundle hash")
 	}
-	if final.Classes != 1 {
-		t.Fatalf("kv+kv-fixed audit found %d classes, want 1 (the seeded kv Trojan)", final.Classes)
+	if final.Classes != 2 {
+		t.Fatalf("kv+kv-fixed audit in 2 modes found %d classes, want 2 (the seeded kv Trojan per mode)", final.Classes)
 	}
 
-	// The stream must have carried the discovery itself: exactly one trojan
-	// event, tagged with the kv unit, with a canonical class line.
+	// The stream must have carried the discoveries themselves: one trojan
+	// event per kv unit, each with a canonical class line.
 	var trojans []map[string]any
 	phases := 0
 	for _, ev := range all {
@@ -283,25 +279,29 @@ func TestE2EAuditMatchesCLIBundle(t *testing.T) {
 			phases++
 		}
 	}
-	if len(trojans) != 1 {
-		t.Fatalf("streamed %d trojan events, want 1", len(trojans))
+	if len(trojans) != 2 {
+		t.Fatalf("streamed %d trojan events, want 2", len(trojans))
 	}
-	if unit := trojans[0]["unit"]; unit != "kv/optimized" {
-		t.Fatalf("trojan event unit = %v, want kv/optimized", unit)
+	units := map[any]bool{}
+	for _, tr := range trojans {
+		units[tr["unit"]] = true
+		if cls, _ := tr["class"].(string); cls == "" {
+			t.Fatal("trojan event has no class line")
+		}
 	}
-	if cls, _ := trojans[0]["class"].(string); cls == "" {
-		t.Fatal("trojan event has no class line")
+	if !units["kv/optimized"] || !units["kv/a-posteriori"] {
+		t.Fatalf("trojan event units = %v, want kv/optimized and kv/a-posteriori", units)
 	}
-	// 2 units × 3 pipeline phases each.
-	if phases != 6 {
-		t.Fatalf("streamed %d phase events, want 6", phases)
+	// 4 units × 3 pipeline phases each.
+	if phases != 12 {
+		t.Fatalf("streamed %d phase events, want 12", phases)
 	}
 
 	// Reference: the exact campaign-engine path achilles-audit run takes.
 	cliDir := filepath.Join(t.TempDir(), "cli-bundle")
 	cliBundle, err := campaign.RunCtx(context.Background(), campaign.Options{
 		Targets: []string{"kv", "kv-fixed"},
-		Modes:   []core.Mode{core.ModeOptimized},
+		Modes:   []core.Mode{core.ModeOptimized, core.ModeAPosteriori},
 		Jobs:    8,
 		Solver:  solver.Default(),
 	})
@@ -311,6 +311,9 @@ func TestE2EAuditMatchesCLIBundle(t *testing.T) {
 	if err := cliBundle.Write(cliDir); err != nil {
 		t.Fatal(err)
 	}
+	if cliHash, err := cliBundle.ContentHash(); err != nil || cliHash != final.Bundle {
+		t.Fatalf("daemon bundle %s, achilles-audit bundle %s (%v)", final.Bundle, cliHash, err)
+	}
 
 	// Byte-identity, report stream by report stream. (The manifests agree on
 	// content but not bytes — they carry wall-clock times and solver
@@ -319,7 +322,7 @@ func TestE2EAuditMatchesCLIBundle(t *testing.T) {
 	if code := getJSON(t, ts, "/v1/bundles/"+final.Bundle, &manifest); code != http.StatusOK {
 		t.Fatalf("fetch manifest: HTTP %d", code)
 	}
-	if len(manifest.Runs) != 2 || manifest.Interrupted {
+	if len(manifest.Runs) != 4 || manifest.Interrupted {
 		t.Fatalf("daemon manifest: %+v", manifest)
 	}
 	for _, rm := range manifest.Runs {
@@ -410,7 +413,7 @@ func TestE2EContentAddressingDedupes(t *testing.T) {
 // complete), and leaks no goroutines.
 func TestE2ECancelMidFrontier(t *testing.T) {
 	testutil.CheckGoroutineLeak(t)
-	_, ts := daemon(t, serve.Config{Lookup: deepLookup})
+	_, ts := daemon(t, serve.Config{Extra: deepTarget()})
 	js := submit(t, ts, `{"targets":["deep"],"parallelism":8}`, "cancel")
 
 	events := streamEvents(t, ts, js.EventsURL, nil)
@@ -466,6 +469,16 @@ func TestE2ECancelMidFrontier(t *testing.T) {
 	if !manifest.Interrupted {
 		t.Fatal("interrupted bundle not flagged Interrupted")
 	}
+	// The unit was cut short mid-run, so it counts as a cancelled session.
+	mresp, err := ts.Client().Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mbody, _ := io.ReadAll(mresp.Body)
+	mresp.Body.Close()
+	if !strings.Contains(string(mbody), "achillesd_sessions_cancelled_total 1\n") {
+		t.Fatalf("metrics do not count the cancelled session:\n%s", mbody)
+	}
 
 	// Cancel is idempotent: a second cancel of a finished job is still 200.
 	resp, err := ts.Client().Post(ts.URL+"/v1/jobs/"+js.ID+"/cancel", "", nil)
@@ -484,7 +497,7 @@ func TestE2ECancelMidFrontier(t *testing.T) {
 func TestE2EQuotaBackpressure(t *testing.T) {
 	// One worker and a wide target keep the first job running (and the second
 	// queued) while the quota is probed.
-	_, ts := daemon(t, serve.Config{Lookup: deepLookup, Workers: 1, ClientQuota: 2})
+	_, ts := daemon(t, serve.Config{Extra: deepTarget(), Workers: 1, ClientQuota: 2})
 
 	j1 := submit(t, ts, `{"targets":["deep"]}`, "tenant-a")
 	j2 := submit(t, ts, `{"targets":["deep"]}`, "tenant-a")
@@ -519,19 +532,40 @@ func TestE2EQuotaBackpressure(t *testing.T) {
 	}
 
 	// Drain everything (cancel is the fast path) and verify the freed slot:
-	// tenant-a can submit again.
-	for _, j := range []serve.JobStatus{j1, j2, j3} {
+	// tenant-a can submit again. Every cancelled job — the running one and
+	// the ones cancelled while still queued — ends cancelled with each unit
+	// interrupted and its stored bundle flagged Interrupted.
+	cancelJob := func(j serve.JobStatus) {
+		t.Helper()
 		cr, err := ts.Client().Post(ts.URL+"/v1/jobs/"+j.ID+"/cancel", "", nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		cr.Body.Close()
-		collectUntilDone(t, streamEvents(t, ts, j.EventsURL, nil), 30*time.Second)
+		final := terminalStatus(t, collectUntilDone(t, streamEvents(t, ts, j.EventsURL, nil), 30*time.Second))
+		if final.State != "cancelled" {
+			t.Fatalf("job %s ended %s, want cancelled", j.ID, final.State)
+		}
+		if len(final.Units) == 0 {
+			t.Fatalf("cancelled job %s lists no units", j.ID)
+		}
+		for _, u := range final.Units {
+			if !strings.HasPrefix(u.Error, "interrupted") {
+				t.Fatalf("job %s unit %s not marked interrupted: %q", j.ID, u.Key, u.Error)
+			}
+		}
+		var manifest campaign.Manifest
+		if code := getJSON(t, ts, "/v1/bundles/"+final.Bundle, &manifest); code != http.StatusOK {
+			t.Fatalf("job %s bundle %q: HTTP %d", j.ID, final.Bundle, code)
+		}
+		if !manifest.Interrupted {
+			t.Fatalf("job %s bundle not flagged Interrupted", j.ID)
+		}
 	}
-	j4 := submit(t, ts, `{"targets":["deep"]}`, "tenant-a")
-	cr, _ := ts.Client().Post(ts.URL+"/v1/jobs/"+j4.ID+"/cancel", "", nil)
-	cr.Body.Close()
-	collectUntilDone(t, streamEvents(t, ts, j4.EventsURL, nil), 30*time.Second)
+	for _, j := range []serve.JobStatus{j1, j2, j3} {
+		cancelJob(j)
+	}
+	cancelJob(submit(t, ts, `{"targets":["deep"]}`, "tenant-a"))
 }
 
 // TestE2EMalformedRequests: every malformed submission and lookup fails
@@ -549,7 +583,8 @@ func TestE2EMalformedRequests(t *testing.T) {
 		{"unknown target", `{"targets":["does-not-exist"]}`},
 		{"unknown mode", `{"targets":["kv"],"modes":["turbo"]}`},
 		{"empty mode", `{"targets":["kv"],"modes":[""]}`},
-		{"negative max_states", `{"targets":["kv"],"max_states":-1}`},
+		{"removed field max_states", `{"targets":["kv"],"max_states":100}`},
+		{"removed field first_trojan", `{"targets":["kv"],"first_trojan":true}`},
 	}
 	for _, tc := range badSubmits {
 		resp := postJob(t, ts, tc.body, "mal")
@@ -605,7 +640,7 @@ func TestE2EMalformedRequests(t *testing.T) {
 // event stream with a terminal done event, and unwinds every goroutine.
 func TestE2EGracefulShutdown(t *testing.T) {
 	testutil.CheckGoroutineLeak(t)
-	cfg := serve.Config{Lookup: deepLookup, StoreDir: filepath.Join(t.TempDir(), "store")}
+	cfg := serve.Config{Extra: deepTarget(), StoreDir: filepath.Join(t.TempDir(), "store")}
 	srv, ts := daemon(t, cfg)
 
 	js := submit(t, ts, `{"targets":["deep"],"parallelism":8}`, "drain")
@@ -671,7 +706,7 @@ func TestE2EGracefulShutdown(t *testing.T) {
 // the job drain an expired context.
 func TestE2EShutdownWithLiveEventStream(t *testing.T) {
 	testutil.CheckGoroutineLeak(t)
-	cfg := serve.Config{Lookup: deepLookup, StoreDir: filepath.Join(t.TempDir(), "store")}
+	cfg := serve.Config{Extra: deepTarget(), StoreDir: filepath.Join(t.TempDir(), "store")}
 	srv, ts := daemon(t, cfg)
 
 	js := submit(t, ts, `{"targets":["deep"],"parallelism":8}`, "live")

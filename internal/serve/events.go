@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"achilles/internal/campaign"
 	"achilles/internal/core"
 )
 
@@ -30,6 +31,10 @@ type sseEvent struct {
 	data []byte
 }
 
+// eventBuffer is the per-subscriber SSE buffer; a consumer further behind
+// loses events (drop-counted in achillesd_event_stream_drops_total).
+const eventBuffer = 1024
+
 // broadcaster fans a job's events out to any number of SSE subscribers with
 // the same never-block contract as achilles.Session.Events: a subscriber
 // whose buffer is full loses the event (counted in drops), the analysis is
@@ -47,9 +52,6 @@ type broadcaster struct {
 }
 
 func newBroadcaster(buf int, drops *atomic.Int64) *broadcaster {
-	if buf < 1 {
-		buf = 1
-	}
 	return &broadcaster{buf: buf, drops: drops, subs: map[chan sseEvent]struct{}{}}
 }
 
@@ -138,12 +140,20 @@ type progressEventPayload struct {
 	CacheHitRate  float64 `json:"cache_hit_rate"`
 }
 
-// unitObserver bridges the session Observer callbacks of one unit onto the
-// job's broadcaster. Callbacks fire synchronously from analysis workers, so
-// everything here must be non-blocking — publish is (drop-counted sends).
-func unitObserver(j *job, unitKey string) core.Observer {
+// observe is the job's campaign.Options.Observe: it bridges one unit's
+// Observer callbacks onto the job's broadcaster, tagged with the unit key,
+// and records that the unit started. Callbacks fire synchronously from
+// analysis workers, so everything here must be non-blocking — publish is
+// (drop-counted sends).
+func (j *job) observe(u campaign.Job) core.Observer {
+	unitKey := u.Key()
 	return core.Observer{
 		OnPhase: func(phase string) {
+			if phase == core.PhaseExtract {
+				j.mu.Lock()
+				j.started[unitKey] = true
+				j.mu.Unlock()
+			}
 			j.bcast.publish(jsonEvent(eventPhase, phaseEventPayload{Unit: unitKey, Phase: phase}), true)
 		},
 		OnTrojan: func(tr core.TrojanReport) {
@@ -176,8 +186,8 @@ func unitObserver(j *job, unitKey string) core.Observer {
 // server-sent events. The handler replays the durable history (so attaching
 // late or re-attaching never misses a discovery), then streams live events
 // until the job ends, and closes the stream after one final "done" event
-// carrying the terminal job status. A consumer that falls more than the
-// configured buffer behind loses progress/overflow events — counted in the
+// carrying the terminal job status. A consumer that falls more than
+// eventBuffer events behind loses progress/overflow events — counted in the
 // achillesd_event_stream_drops_total metric — but never stalls the analysis,
 // and the done event and persisted bundle are always complete.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {

@@ -3,17 +3,16 @@ package serve
 import (
 	"context"
 	"fmt"
-	"sort"
+	"strings"
 	"sync"
 	"time"
 
-	"achilles"
 	"achilles/internal/campaign"
 	"achilles/internal/core"
 )
 
 // Request is the submission body of POST /v1/jobs: which targets to audit,
-// in which modes, and the session knobs. Unknown fields are rejected — a
+// in which modes, at what parallelism. Unknown fields are rejected — a
 // misspelled option must fail loudly, not silently audit with defaults.
 type Request struct {
 	// Targets lists registry names to audit; at least one is required.
@@ -24,12 +23,6 @@ type Request struct {
 	// [1, the daemon's global -j budget] and the whole amount is leased from
 	// that budget while the job runs.
 	Parallelism int `json:"parallelism,omitempty"`
-	// MaxStates optionally bounds either engine's exploration (the runaway
-	// backstop); truncated units are flagged in the manifest.
-	MaxStates int `json:"max_states,omitempty"`
-	// FirstTrojan stops each unit at its first confirmed class — the
-	// "vulnerable at all?" triage mode.
-	FirstTrojan bool `json:"first_trojan,omitempty"`
 }
 
 // Job states reported by the status endpoint and the done event.
@@ -41,14 +34,13 @@ const (
 	stateFailed    = "failed"    // the job itself failed (e.g. bundle store error)
 )
 
-// job is one submitted audit: a planned list of target×mode units run as
-// sequential achilles.Start sessions under a single worker lease.
+// job is one submitted audit: one campaign over the request's target×mode
+// units, run under a single worker lease.
 type job struct {
 	id     string
 	client string
 	req    Request
-	units  []campaign.Job
-	par    int // granted parallelism (clamped request)
+	opts   campaign.Options // the planned campaign; opts.Jobs is the lease
 
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -57,13 +49,13 @@ type job struct {
 
 	created time.Time
 
-	mu       sync.Mutex
-	state    string
-	err      string
-	runs     []campaign.RunManifest
-	classes  int
-	bundle   string // content hash once persisted
-	finished time.Time
+	mu      sync.Mutex
+	state   string
+	err     string
+	started map[string]bool // unit keys that reached PhaseExtract
+	runs    []campaign.RunManifest
+	classes int
+	bundle  string // content hash once persisted
 }
 
 // UnitStatus is the wire shape of one target×mode unit in a job status.
@@ -93,223 +85,90 @@ type JobStatus struct {
 	EventsURL string `json:"events_url"`
 }
 
-// planJob validates a request against the daemon's catalog and expands it
-// into the deterministic (target, mode) unit list — the same canonical
-// order campaign.Plan produces, so a daemon bundle lines up with a CLI
-// bundle job for job.
-func (s *Server) planJob(req Request) ([]campaign.Job, int, error) {
+// planJob turns a request into the campaign options achilles-audit run
+// would build from the same targets, modes and -j, and validates them with
+// campaign.Plan — so a daemon bundle is a CLI bundle by construction.
+func (s *Server) planJob(req Request) (campaign.Options, error) {
 	if len(req.Targets) == 0 {
-		return nil, 0, fmt.Errorf("request selects no target")
+		// An empty campaign target list means the whole registry; a request
+		// must name what it audits.
+		return campaign.Options{}, fmt.Errorf("request selects no target")
 	}
-	if req.MaxStates < 0 {
-		return nil, 0, fmt.Errorf("max_states %d is negative", req.MaxStates)
-	}
-	names := make([]string, len(req.Targets))
-	for i, n := range req.Targets {
-		d, ok := s.lookup(n)
-		if !ok {
-			return nil, 0, fmt.Errorf("unknown target %q", n)
+	var modes []core.Mode
+	for _, name := range req.Modes {
+		if name == "" {
+			return campaign.Options{}, fmt.Errorf("empty mode name")
 		}
-		names[i] = d.Name
-	}
-	sort.Strings(names)
-	modes := []core.Mode{core.ModeOptimized}
-	if len(req.Modes) > 0 {
-		modes = modes[:0]
-		for _, name := range req.Modes {
-			if name == "" {
-				return nil, 0, fmt.Errorf("empty mode name")
-			}
-			m, err := core.ParseMode(name)
-			if err != nil {
-				return nil, 0, err
-			}
-			modes = append(modes, m)
+		m, err := core.ParseMode(name)
+		if err != nil {
+			return campaign.Options{}, err
 		}
+		modes = append(modes, m)
 	}
-	var units []campaign.Job
-	seen := map[string]bool{}
-	for _, n := range names {
-		for _, m := range modes {
-			u := campaign.Job{Target: n, Mode: m}
-			if seen[u.Key()] {
-				continue
-			}
-			seen[u.Key()] = true
-			units = append(units, u)
-		}
+	opts := campaign.Options{
+		Targets: req.Targets,
+		Modes:   modes,
+		Jobs:    min(max(req.Parallelism, 1), s.cfg.Workers),
+		Solver:  s.solver,
+		Extra:   s.cfg.Extra,
 	}
-	par := req.Parallelism
-	if par < 1 {
-		par = 1
+	if _, err := campaign.Plan(opts); err != nil {
+		return campaign.Options{}, err
 	}
-	if par > s.cfg.Workers {
-		par = s.cfg.Workers
-	}
-	return units, par, nil
+	return opts, nil
 }
 
 // runJob is the job goroutine: lease workers from the global budget, run
-// every unit as a session, persist the bundle, publish the terminal state.
+// the campaign, persist the bundle, publish the terminal state.
 func (s *Server) runJob(j *job) {
 	defer s.wg.Done()
 	defer s.releaseClient(j.client)
 
 	// Admission: the whole lease is granted atomically and FIFO (see wsem),
 	// so a queued job can never deadlock against another partial acquirer
-	// and never starves behind a stream of small jobs.
-	if err := s.sem.acquire(j.ctx, j.par); err != nil {
-		// Cancelled while queued: every planned unit is recorded as
-		// interrupted so the artifact stays complete.
-		runs := make([]campaign.RunManifest, 0, len(j.units))
-		for _, u := range j.units {
-			runs = append(runs, interruptedUnit(u, err))
-		}
-		s.finishJob(j, runs, nil, err)
-		return
+	// and never starves behind a stream of small jobs. A job cancelled while
+	// queued still runs its campaign, on the dead context: RunCtx records
+	// every unit as interrupted, so the artifact stays complete.
+	if err := s.sem.acquire(j.ctx, j.opts.Jobs); err == nil {
+		defer s.sem.release(j.opts.Jobs)
+		s.setJobState(j, stateRunning)
 	}
-	defer s.sem.release(j.par)
-	s.setJobState(j, stateRunning)
-
-	runs := make([]campaign.RunManifest, 0, len(j.units))
-	reports := map[string][]campaign.Report{}
-	for _, u := range j.units {
-		rm, reps := s.runUnit(j, u)
-		runs = append(runs, rm)
-		if rm.Error == "" {
-			reports[u.Key()] = reps
-		}
-	}
-	s.finishJob(j, runs, reports, j.ctx.Err())
+	b, err := campaign.RunCtx(j.ctx, j.opts)
+	s.finishJob(j, b, err)
 }
 
-// interruptedUnit mirrors the campaign engine's manifest entry for a unit
-// the cancellation prevented from running.
-func interruptedUnit(u campaign.Job, cause error) campaign.RunManifest {
-	return campaign.RunManifest{
-		Target:     u.Target,
-		Mode:       u.Mode.String(),
-		ReportFile: u.ReportFile(),
-		Error:      "interrupted: " + cause.Error(),
-	}
-}
-
-// runUnit executes one target×mode analysis as a cancellable session on the
-// daemon's shared solver and converts the outcome into its manifest entry
-// and report stream — the exact conversion (campaign.ReportsFromRun) the
-// CLI campaign engine uses, which is what makes daemon bundles byte-
-// identical to achilles-audit bundles for the same inputs.
-func (s *Server) runUnit(j *job, u campaign.Job) (campaign.RunManifest, []campaign.Report) {
-	rm := campaign.RunManifest{
-		Target:     u.Target,
-		Mode:       u.Mode.String(),
-		ReportFile: u.ReportFile(),
-	}
-	d, ok := s.lookup(u.Target)
-	if !ok {
-		rm.Error = fmt.Sprintf("target %q disappeared from the catalog", u.Target)
-		return rm, nil
-	}
-	rm.InputFingerprint = d.InputFingerprint(u.Mode, campaign.Version)
-	if err := j.ctx.Err(); err != nil {
-		rm.Error = "interrupted: " + err.Error()
-		return rm, nil
-	}
-
-	aopts := d.Analysis
-	aopts.Mode = u.Mode
-	aopts.Parallelism = j.par
-	aopts.Solver = s.solver
-	opts := []achilles.Option{
-		achilles.WithAnalysisOptions(aopts),
-		achilles.WithObserver(unitObserver(j, u.Key())),
-	}
-	if j.req.MaxStates > 0 {
-		opts = append(opts, achilles.WithMaxStates(j.req.MaxStates))
-	}
-	if j.req.FirstTrojan {
-		opts = append(opts, achilles.WithFirstTrojan())
-	}
-
-	tgt := d.Target()
-	t0 := time.Now()
-	sess, err := achilles.Start(j.ctx, tgt, opts...)
-	if err != nil {
-		rm.Error = err.Error()
-		return rm, nil
-	}
-	run, err := sess.Wait()
-	rm.WallMS = time.Since(t0).Milliseconds()
-	if ctxErr := j.ctx.Err(); ctxErr != nil {
-		// A unit cut short mid-exploration is recorded as interrupted and its
-		// partial class set discarded — a stored bundle must never present a
-		// cut-short unit as that target's result (the campaign invariant).
-		s.metrics.sessionsCancelled.Add(1)
-		rm.Error = "interrupted: " + ctxErr.Error()
-		return rm, nil
-	}
-	if err != nil {
-		rm.Error = err.Error()
-		return rm, nil
-	}
-	rm.Classes = len(run.Analysis.Trojans)
-	rm.ClientPaths = len(run.Clients.Paths)
-	rm.Truncated = run.Truncated()
-	rm.Counters = campaign.Counters(run.Counters())
-	return rm, campaign.ReportsFromRun(tgt.FieldNames, run.Analysis.Trojans)
-}
-
-// finishJob assembles the bundle, persists it in the content-addressed
-// store, records the terminal state and closes done. Every publish happens
-// before done closes, so an SSE handler that sees done can drain its channel
-// and know the stream is complete.
-func (s *Server) finishJob(j *job, runs []campaign.RunManifest, reports map[string][]campaign.Report, ctxErr error) {
-	b := &campaign.Bundle{
-		Manifest: campaign.Manifest{
-			FormatVersion: campaign.FormatVersion,
-			Tool:          campaign.Version,
-			Jobs:          j.par,
-			CreatedAt:     time.Now().UTC().Format(time.RFC3339),
-			WallMS:        time.Since(j.created).Milliseconds(),
-			Interrupted:   ctxErr != nil,
-			Runs:          runs,
-		},
-		Reports: map[string][]campaign.Report{},
-	}
-	classes := 0
-	for _, rm := range runs {
-		if rm.Error == "" {
-			classes += rm.Classes
-			b.Reports[rm.Key()] = reports[rm.Key()]
-		}
-	}
-	st := s.solver.Stats()
-	b.Manifest.Solver = campaign.Counters{
-		"queries":      int64(st.Queries),
-		"cache_hits":   int64(st.CacheHits),
-		"cache_misses": int64(st.CacheMisses),
-		"unknowns":     int64(st.Unknowns),
-	}
-
-	state := stateDone
-	var jobErr string
-	if ctxErr != nil {
-		state = stateCancelled
-	}
-	hash, err := s.store.Put(b)
-	if err != nil {
-		state, jobErr = stateFailed, fmt.Sprintf("persist bundle: %v", err)
+// finishJob persists the campaign's bundle in the content-addressed store,
+// records the terminal state and closes done. Every publish happens before
+// done closes, so an SSE handler that sees done can drain its channel and
+// know the stream is complete.
+func (s *Server) finishJob(j *job, b *campaign.Bundle, err error) {
+	state, jobErr, hash := stateFailed, "", ""
+	if b == nil {
+		// RunCtx refused the plan planJob accepted.
+		jobErr = fmt.Sprintf("plan campaign: %v", err)
+	} else if hash, err = s.store.Put(b); err != nil {
+		jobErr = fmt.Sprintf("persist bundle: %v", err)
 	} else {
 		s.metrics.bundlesStored.Add(1)
+		state = stateDone
+		if b.Manifest.Interrupted {
+			state = stateCancelled
+		}
 	}
 
 	j.mu.Lock()
 	j.state = state
 	j.err = jobErr
-	j.runs = runs
-	j.classes = classes
 	j.bundle = hash
-	j.finished = time.Now()
+	if b != nil {
+		j.runs = b.Manifest.Runs
+		for _, rm := range j.runs {
+			j.classes += rm.Classes
+			if j.started[rm.Key()] && strings.HasPrefix(rm.Error, "interrupted") {
+				s.metrics.sessionsCancelled.Add(1)
+			}
+		}
+	}
 	j.mu.Unlock()
 
 	switch state {
@@ -345,7 +204,7 @@ func (s *Server) jobStatus(j *job) JobStatus {
 		State:       j.state,
 		Targets:     append([]string{}, j.req.Targets...),
 		Modes:       append([]string{}, j.req.Modes...),
-		Parallelism: j.par,
+		Parallelism: j.opts.Jobs,
 		CreatedAt:   j.created.UTC().Format(time.RFC3339),
 		Classes:     j.classes,
 		Bundle:      j.bundle,

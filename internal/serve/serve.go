@@ -2,18 +2,19 @@
 // HTTP daemon that turns the one-shot Achilles pipeline into a long-running,
 // multi-tenant service.
 //
-// Clients submit audit jobs (targets, modes, session options as JSON) and
-// get back a job ID; the daemon multiplexes many concurrent achilles.Start
-// sessions under one global worker budget (a FIFO all-or-nothing lease over
-// the -j knob, so jobs queue instead of oversubscribing and a wide job is
-// never starved), streams phase/trojan/progress events to any number of
-// clients as server-sent events (the Session Observer plumbing maps 1:1
-// onto SSE), enforces per-client concurrent-job quotas with backpressure
-// (429 + Retry-After), and persists every finished run as an ordinary
-// versioned audit bundle in a content-addressed store — byte-identical to
-// what achilles-audit run writes for the same inputs, which extends the
-// standing determinism invariant to the wire. /healthz and Prometheus-style
-// /metrics make it operable behind a load balancer.
+// Clients submit audit jobs — targets, modes and a parallelism, as JSON —
+// and get back a job ID. A job is one campaign: the daemon builds the
+// campaign.Options achilles-audit run would build from the same inputs and
+// runs campaign.RunCtx under one lease from the global worker budget (a
+// FIFO all-or-nothing lease over the -j knob, so jobs queue instead of
+// oversubscribing and a wide job is never starved). It streams
+// phase/trojan/progress events to any number of clients as server-sent
+// events (each unit's Observer maps 1:1 onto SSE), enforces per-client
+// concurrent-job quotas with backpressure (429 + Retry-After), and persists
+// every campaign's bundle in a content-addressed store — the bundle
+// achilles-audit run writes for the same inputs, by construction, which
+// extends the standing determinism invariant to the wire. /healthz and
+// Prometheus-style /metrics make it operable behind a load balancer.
 //
 // Endpoints:
 //
@@ -69,12 +70,10 @@ type Config struct {
 	// Solver is the shared solver kept warm across all sessions; nil means
 	// solver.Default().
 	Solver *solver.Solver
-	// Lookup resolves target names; nil means the global protocol registry.
-	// Tests inject synthetic catalogs here.
-	Lookup func(name string) (registry.Descriptor, bool)
-	// EventBuffer is the per-subscriber SSE buffer; a consumer further
-	// behind loses events (drop-counted). Values < 1 mean 1024.
-	EventBuffer int
+	// Extra lists descriptors resolvable in addition to the global
+	// registry, passed on as campaign.Options.Extra (aliases are ignored).
+	// Tests inject synthetic targets here.
+	Extra []registry.Descriptor
 	// MaxTerminalJobs caps how many terminal (done/cancelled/failed) jobs
 	// the daemon keeps in its job table for status queries and event
 	// replay. Beyond the cap the oldest terminal jobs are evicted — along
@@ -88,7 +87,6 @@ type Config struct {
 // with Shutdown.
 type Server struct {
 	cfg     Config
-	lookup  func(string) (registry.Descriptor, bool)
 	solver  *solver.Solver
 	sem     *wsem
 	store   *Store
@@ -112,9 +110,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.ClientQuota < 1 {
 		cfg.ClientQuota = 4
 	}
-	if cfg.EventBuffer < 1 {
-		cfg.EventBuffer = 1024
-	}
 	if cfg.MaxTerminalJobs < 1 {
 		cfg.MaxTerminalJobs = 512
 	}
@@ -124,15 +119,11 @@ func New(cfg Config) (*Server, error) {
 	}
 	s := &Server{
 		cfg:       cfg,
-		lookup:    cfg.Lookup,
 		solver:    cfg.Solver,
 		sem:       newWsem(cfg.Workers),
 		store:     store,
 		jobs:      map[string]*job{},
 		perClient: map[string]int{},
-	}
-	if s.lookup == nil {
-		s.lookup = registry.Lookup
 	}
 	if s.solver == nil {
 		s.solver = solver.Default()
@@ -237,7 +228,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "malformed request: "+err.Error())
 		return
 	}
-	units, par, err := s.planJob(req)
+	opts, err := s.planJob(req)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
@@ -267,15 +258,16 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		id:      id,
 		client:  client,
 		req:     req,
-		units:   units,
-		par:     par,
+		opts:    opts,
 		ctx:     ctx,
 		cancel:  cancel,
-		bcast:   newBroadcaster(s.cfg.EventBuffer, &s.metrics.eventDrops),
+		bcast:   newBroadcaster(eventBuffer, &s.metrics.eventDrops),
 		done:    make(chan struct{}),
 		created: time.Now(),
 		state:   stateQueued,
+		started: map[string]bool{},
 	}
+	j.opts.Observe = j.observe
 	s.jobs[id] = j
 	s.order = append(s.order, id)
 	s.wg.Add(1)

@@ -13,6 +13,7 @@ import (
 
 	"achilles/internal/campaign"
 	"achilles/internal/core"
+	_ "achilles/internal/protocols"
 	"achilles/internal/protocols/registry"
 )
 
@@ -281,31 +282,34 @@ func TestStoreValidation(t *testing.T) {
 	}
 }
 
-// fakeCatalog registers two targets under canonical and alias names.
-func fakeCatalog(name string) (registry.Descriptor, bool) {
-	switch name {
-	case "alpha", "a":
-		return registry.Descriptor{Name: "alpha"}, true
-	case "beta":
-		return registry.Descriptor{Name: "beta"}, true
-	}
-	return registry.Descriptor{}, false
-}
+// fakeCatalog is a two-target synthetic catalog injected through
+// Config.Extra.
+var fakeCatalog = []registry.Descriptor{{Name: "alpha"}, {Name: "beta"}}
 
 // TestPlanJob: requests expand into sorted, deduplicated (target, mode)
 // units with clamped parallelism — the same canonical plan the campaign
 // engine would produce.
 func TestPlanJob(t *testing.T) {
-	s, err := New(Config{Workers: 4, StoreDir: filepath.Join(t.TempDir(), "store"), Lookup: fakeCatalog})
+	s, err := New(Config{Workers: 4, StoreDir: filepath.Join(t.TempDir(), "store"), Extra: fakeCatalog})
 	if err != nil {
 		t.Fatal(err)
 	}
-	units, par, err := s.planJob(Request{Targets: []string{"beta", "a", "alpha"}, Parallelism: 99})
-	if err != nil {
-		t.Fatal(err)
+	plan := func(req Request) ([]campaign.Job, int) {
+		t.Helper()
+		opts, err := s.planJob(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		units, err := campaign.Plan(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return units, opts.Jobs
 	}
-	// "a" is the alias of "alpha": canonicalized and deduplicated; sorted.
-	if len(units) != 2 || units[0].Target != "alpha" || units[1].Target != "beta" {
+	units, par := plan(Request{Targets: []string{"beta", "fsp-accuracy", "alpha", "fsp"}, Parallelism: 99})
+	// "fsp-accuracy" is the registry alias of "fsp": canonicalized and
+	// deduplicated; extras and registry targets sorted together.
+	if len(units) != 3 || units[0].Target != "alpha" || units[1].Target != "beta" || units[2].Target != "fsp" {
 		t.Fatalf("units = %+v", units)
 	}
 	if units[0].Mode != core.ModeOptimized {
@@ -315,10 +319,7 @@ func TestPlanJob(t *testing.T) {
 		t.Fatalf("parallelism clamped to %d, want the 4-worker budget", par)
 	}
 
-	units, par, err = s.planJob(Request{Targets: []string{"alpha"}, Modes: []string{"optimized", "a-posteriori", "optimized"}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	units, par = plan(Request{Targets: []string{"alpha"}, Modes: []string{"optimized", "a-posteriori", "optimized"}})
 	if len(units) != 2 {
 		t.Fatalf("duplicate modes not deduplicated: %+v", units)
 	}
@@ -330,9 +331,9 @@ func TestPlanJob(t *testing.T) {
 		{},
 		{Targets: []string{"gamma"}},
 		{Targets: []string{"alpha"}, Modes: []string{"warp"}},
-		{Targets: []string{"alpha"}, MaxStates: -5},
+		{Targets: []string{"alpha"}, Modes: []string{""}},
 	} {
-		if _, _, err := s.planJob(bad); err == nil {
+		if _, err := s.planJob(bad); err == nil {
 			t.Errorf("planJob(%+v) accepted an invalid request", bad)
 		}
 	}
